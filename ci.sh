@@ -57,6 +57,15 @@ cargo run --release -p odx-bench --bin repro -- \
   --scenario-file examples/flaky-week.json headline \
   --scenario flaky-week --scale 0.01 --sample 200 > "$CONFIG_TMP/flaky.out"
 grep -q "fault injection & recovery" "$CONFIG_TMP/flaky.out"
+# Observing a faulted run must not change it: a traced sweep of the
+# fault-plan example exports the same bytes as an untraced one.
+cargo run --release -p odx-bench --bin repro -- \
+  --scenario-file examples/flaky-week.json sweep \
+  --scenario flaky-week --scale 0.002 --out "$CONFIG_TMP/flaky-plain"
+cargo run --release -p odx-bench --bin repro -- \
+  --scenario-file examples/flaky-week.json sweep \
+  --scenario flaky-week --scale 0.002 --trace-sample 4 --out "$CONFIG_TMP/flaky-traced"
+diff "$CONFIG_TMP/flaky-plain/sweep.json" "$CONFIG_TMP/flaky-traced/sweep.json"
 # Its 2×2 axis grid must sweep --jobs-independently.
 cargo run --release -p odx-bench --bin repro -- \
   --scenario-file examples/campus-pressure.json sweep \

@@ -8,15 +8,12 @@
 //! benchmark mode, so the harness exercises the same [`crate::ProxyBackend`]
 //! layer as the other evaluators.
 
-use odx_faults::{FaultDomain, FaultKind, FaultPlan, FaultsConfig};
+use odx_faults::{FaultPlan, FaultsConfig};
 use odx_p2p::FailureCause;
 use odx_sim::{RngFactory, SimDuration};
 use odx_smartap::ApModel;
 use odx_stats::Ecdf;
-use odx_telemetry::{
-    Counter, Lifecycle, LifecycleReport, Registry, SeriesRecorder, SeriesSnapshot, Stage, TaskEnd,
-    TraceConfig,
-};
+use odx_telemetry::{Lifecycle, LifecycleReport, Observers, Registry, Stage, TaskEnd};
 use odx_trace::{PopularityClass, SampledRequest};
 use serde::Serialize;
 
@@ -129,132 +126,41 @@ impl ApBenchReport {
     }
 }
 
-/// Counter handles plus the recorder for a series-observed benchmark
-/// replay. The harness is sequential, so counters are plain handles and
-/// sampling happens inline: due grid points are taken strictly before
-/// each task's completion advances the fleet clock past them.
-struct BenchSeries {
-    tasks: Counter,
-    failures: Counter,
-    storage_limited: Counter,
-    recorder: SeriesRecorder,
-}
-
-impl BenchSeries {
-    /// Charge one finished task: sample every grid point the fleet clock
-    /// has now passed, then count the task.
-    fn charge(&self, success: bool, storage_limited: bool, now_ms: u64) {
-        while self.recorder.next_due_ms() < now_ms {
-            self.recorder.sample_due();
-        }
-        self.tasks.inc();
-        if !success {
-            self.failures.inc();
-        }
-        if storage_limited {
-            self.storage_limited.inc();
-        }
-    }
-}
-
 /// The benchmark harness.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SmartApBenchmark;
 
 impl SmartApBenchmark {
-    /// Replay `sample` across the three §5.1 benchmark APs (request `i`
-    /// goes to AP `i mod 3`, preserving the ~333-per-AP split), restricted
-    /// to each request's recorded access bandwidth.
-    pub fn replay(sample: &[SampledRequest], rngs: &RngFactory) -> ApBenchReport {
-        SmartApBenchmark::replay_fleet(sample, &ApContext::bench_fleet(), rngs)
-    }
-
-    /// Replay `sample` across an explicit AP fleet (the scenario layer's
-    /// entry point — e.g. the `usb3-aps` what-if swaps every box's storage).
-    pub fn replay_fleet(
+    /// Replay `sample` across an AP fleet (request `i` goes to AP `i mod
+    /// 3`, preserving the ~333-per-AP split), restricted to each request's
+    /// recorded access bandwidth, counting `ap.tasks`, `ap.failures` and
+    /// `ap.storage_limited` into `registry`. This is the harness's one run
+    /// path. Each AP line runs on its own virtual clock (task *i+1* starts
+    /// where task *i* ended), and the fault plan — compiled from a
+    /// dedicated `"smartap-faults"` stream, so zero intensity is free — is
+    /// keyed on it. Traces carry an arrival instant plus a pre-download
+    /// span per task, and failures dump the flight recorder with the §5.2
+    /// cause taxonomy. A series samples the `ap.*` counters on the busiest
+    /// line's clock. `profile` is a no-op for this sequential harness.
+    pub fn replay_observed(
         sample: &[SampledRequest],
         fleet: &[ApContext; 3],
-        rngs: &RngFactory,
-    ) -> ApBenchReport {
-        Self::replay_fleet_inner(sample, fleet, rngs, None, None, &FaultPlan::empty()).0
-    }
-
-    /// Replay a fleet under a fault-injection config: smart-AP windows are
-    /// keyed on each AP line's own virtual clock, so a disk-stall window
-    /// slows (and a power-cycle window kills) whatever task the line is
-    /// running when the window is open. The plan compiles from a dedicated
-    /// `"smartap-faults"` stream and injection itself draws nothing, so a
-    /// zero-intensity config replays byte-identically to
-    /// [`SmartApBenchmark::replay_fleet`].
-    pub fn replay_fleet_faulted(
-        sample: &[SampledRequest],
-        fleet: &[ApContext; 3],
-        rngs: &RngFactory,
         faults: &FaultsConfig,
-    ) -> ApBenchReport {
-        let plan = FaultPlan::compile(faults, &mut rngs.stream("smartap-faults"));
-        Self::replay_fleet_inner(sample, fleet, rngs, None, None, &plan).0
-    }
-
-    /// Replay a fleet with per-task lifecycle tracing. The harness is
-    /// sequential per AP, so each AP carries its own virtual clock: task
-    /// *i+1* on an AP starts when task *i* on that AP finished, and each
-    /// task's trace is an arrival instant plus a pre-download span whose
-    /// length is the measured transfer duration. Failed tasks dump the
-    /// flight recorder with the §5.2 cause taxonomy.
-    pub fn replay_fleet_traced(
-        sample: &[SampledRequest],
-        fleet: &[ApContext; 3],
-        rngs: &RngFactory,
-        trace: &TraceConfig,
-    ) -> (ApBenchReport, LifecycleReport) {
-        let (report, lifecycle) = Self::replay_fleet_inner(
-            sample,
-            fleet,
-            rngs,
-            Some(Lifecycle::new(trace)),
-            None,
-            &FaultPlan::empty(),
-        );
-        (report, lifecycle.expect("tracing was requested"))
-    }
-
-    /// Replay a fleet while recording a virtual-time metric series
-    /// (`ap.tasks`, `ap.failures`, `ap.storage_limited`) at `interval_ms`
-    /// on the benchmark's own clock — the busiest AP line's elapsed
-    /// virtual time, which is what the harness reports as total delay.
-    /// Tasks are charged in replay order. Counters land in `registry` and
-    /// the finished snapshot's last sample equals their final values.
-    pub fn replay_fleet_series(
-        sample: &[SampledRequest],
-        fleet: &[ApContext; 3],
         rngs: &RngFactory,
         registry: &Registry,
-        interval_ms: u64,
-    ) -> (ApBenchReport, SeriesSnapshot) {
-        let recorder = SeriesRecorder::new(interval_ms);
-        for name in ["ap.tasks", "ap.failures", "ap.storage_limited"] {
-            recorder.track_counter(name, registry.counter(name));
-        }
-        let ctx = BenchSeries {
-            tasks: registry.counter("ap.tasks"),
-            failures: registry.counter("ap.failures"),
-            storage_limited: registry.counter("ap.storage_limited"),
-            recorder: recorder.clone(),
-        };
-        let (report, _) =
-            Self::replay_fleet_inner(sample, fleet, rngs, None, Some(&ctx), &FaultPlan::empty());
-        (report, recorder.snapshot())
-    }
-
-    fn replay_fleet_inner(
-        sample: &[SampledRequest],
-        fleet: &[ApContext; 3],
-        rngs: &RngFactory,
-        lifecycle: Option<Lifecycle>,
-        series: Option<&BenchSeries>,
-        plan: &FaultPlan,
+        observers: Observers<'_>,
     ) -> (ApBenchReport, Option<LifecycleReport>) {
+        let plan = FaultPlan::compile(faults, &mut rngs.stream("smartap-faults"));
+        let tasks = registry.counter("ap.tasks");
+        let failures = registry.counter("ap.failures");
+        let storage_limited = registry.counter("ap.storage_limited");
+        let series = observers.series;
+        if let Some(series) = &series {
+            for name in ["ap.tasks", "ap.failures", "ap.storage_limited"] {
+                series.track_counter(name, registry.counter(name));
+            }
+        }
+        let lifecycle = observers.trace.map(Lifecycle::new);
         let mut backends: Vec<SmartApBackend> =
             fleet.iter().map(|&ap| SmartApBackend::bench(ap)).collect();
         let mut cloud = CloudContentState::new();
@@ -270,29 +176,7 @@ impl SmartApBenchmark {
             let mut ctx = ExecCtx { rng: &mut rng, cloud: &mut cloud };
             let mut out = backends[slot].execute(&preq, &mut ctx);
             // Fault windows are keyed on the line's clock at task start.
-            // Injection draws nothing: an empty plan leaves `out` — and
-            // therefore the whole replay — untouched.
-            if let Some(window) = plan.active(FaultDomain::SmartAp, ap_clock[slot].as_millis()) {
-                match window.kind {
-                    FaultKind::ApPowerCycle => {
-                        // The box reboots mid-transfer: the task is lost
-                        // but its time and WAN traffic were still spent.
-                        out.success = false;
-                        out.cause = Some(FailureCause::SystemBug);
-                        out.rate_kbps = 0.0;
-                        out.storage_limited = false;
-                    }
-                    FaultKind::ApDiskStall if out.success => {
-                        out.rate_kbps *= window.severity;
-                        out.duration = SimDuration::from_secs_f64(
-                            out.duration.as_secs_f64() / window.severity,
-                        );
-                        out.iowait = 1.0 - (1.0 - out.iowait) * window.severity;
-                        out.storage_limited = true;
-                    }
-                    _ => {}
-                }
-            }
+            out.apply_ap_fault(&plan, ap_clock[slot].as_millis());
             if let Some(lifecycle) = &lifecycle {
                 let task = i as u64;
                 let start = ap_clock[slot].as_millis();
@@ -319,9 +203,20 @@ impl SmartApBenchmark {
                 }
             }
             ap_clock[slot] = ap_clock[slot] + out.duration;
-            if let Some(series) = series {
+            // Every grid point the fleet clock has now passed is sampled
+            // before this task's counters move.
+            if let Some(series) = &series {
                 let now_ms = ap_clock.iter().map(|c| c.as_millis()).max().unwrap_or(0);
-                series.charge(out.success, out.storage_limited, now_ms);
+                while series.next_due_ms() < now_ms {
+                    series.sample_due();
+                }
+            }
+            tasks.inc();
+            if !out.success {
+                failures.inc();
+            }
+            if out.storage_limited {
+                storage_limited.inc();
             }
             records.push(ApTaskRecord {
                 ap: fleet[slot].model,
@@ -335,9 +230,8 @@ impl SmartApBenchmark {
                 storage_limited: out.storage_limited,
             });
         }
-        if let Some(series) = series {
-            let end_ms = ap_clock.iter().map(|c| c.as_millis()).max().unwrap_or(0);
-            series.recorder.finish(end_ms);
+        if let Some(series) = &series {
+            series.finish(ap_clock.iter().map(|c| c.as_millis()).max().unwrap_or(0));
         }
         (ApBenchReport { records }, lifecycle.map(|lifecycle| lifecycle.report()))
     }
@@ -346,20 +240,42 @@ impl SmartApBenchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odx_telemetry::{SeriesRecorder, TraceConfig};
     use odx_trace::{
         sample_benchmark_workload, Catalog, CatalogConfig, Population, PopulationConfig, Workload,
         WorkloadConfig,
     };
     use rand::SeedableRng;
 
-    fn report(n: usize, seed: u64) -> ApBenchReport {
+    /// An unobserved replay of `fleet` under `faults` into a fresh registry.
+    fn replay(
+        sample: &[SampledRequest],
+        fleet: &[ApContext; 3],
+        faults: &FaultsConfig,
+        seed: u64,
+    ) -> ApBenchReport {
+        let rngs = RngFactory::new(seed);
+        let observers = Observers::default();
+        SmartApBenchmark::replay_observed(sample, fleet, faults, &rngs, &Registry::new(), observers)
+            .0
+    }
+
+    /// The unfaulted §5.1 bench fleet.
+    fn plain(sample: &[SampledRequest], seed: u64) -> ApBenchReport {
+        replay(sample, &ApContext::bench_fleet(), &FaultsConfig::default(), seed)
+    }
+
+    fn bench_sample(n: usize, seed: u64) -> Vec<SampledRequest> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let catalog = Catalog::generate(&CatalogConfig::scaled(0.02), &mut rng);
         let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
         let workload =
             Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        let sample = sample_benchmark_workload(&workload, &catalog, &population, n, &mut rng);
-        SmartApBenchmark::replay(&sample, &RngFactory::new(seed))
+        sample_benchmark_workload(&workload, &catalog, &population, n, &mut rng)
+    }
+
+    fn report(n: usize, seed: u64) -> ApBenchReport {
+        plain(&bench_sample(n, seed), seed)
     }
 
     #[test]
@@ -419,22 +335,20 @@ mod tests {
 
     #[test]
     fn series_replay_ends_at_the_final_counter_values() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(147);
-        let catalog = Catalog::generate(&CatalogConfig::scaled(0.02), &mut rng);
-        let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
-        let workload =
-            Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        let sample = sample_benchmark_workload(&workload, &catalog, &population, 300, &mut rng);
+        let sample = bench_sample(300, 147);
         let run = |interval_ms| {
             let registry = Registry::new();
-            let (report, series) = SmartApBenchmark::replay_fleet_series(
+            let series = SeriesRecorder::new(interval_ms);
+            let observers = Observers { series: Some(series.clone()), ..Observers::default() };
+            let (report, _) = SmartApBenchmark::replay_observed(
                 &sample,
                 &ApContext::bench_fleet(),
+                &FaultsConfig::default(),
                 &RngFactory::new(147),
                 &registry,
-                interval_ms,
+                observers,
             );
-            (report, series, registry.snapshot())
+            (report, series.snapshot(), registry.snapshot())
         };
         let (report, series, snapshot) = run(3_600_000);
         assert!(series.times.len() > 1, "a 300-task replay spans multiple sim-hours");
@@ -450,8 +364,7 @@ mod tests {
         // Same seed, same cadence → byte-identical series.
         assert_eq!(series.to_json(), run(3_600_000).1.to_json());
         // The observed replay's records match the unobserved harness.
-        let plain = SmartApBenchmark::replay(&sample, &RngFactory::new(147));
-        assert_eq!(plain.failure_ratio(), report.failure_ratio());
+        assert_eq!(plain(&sample, 147).failure_ratio(), report.failure_ratio());
     }
 
     #[test]
@@ -467,21 +380,19 @@ mod tests {
 
     #[test]
     fn traced_replay_matches_untraced_and_tiles_durations() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(148);
-        let catalog = Catalog::generate(&CatalogConfig::scaled(0.02), &mut rng);
-        let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
-        let workload =
-            Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        let sample = sample_benchmark_workload(&workload, &catalog, &population, 300, &mut rng);
-        let plain = SmartApBenchmark::replay(&sample, &RngFactory::new(148));
-        let (traced, lifecycle) = SmartApBenchmark::replay_fleet_traced(
+        let sample = bench_sample(300, 148);
+        let observers = Observers { trace: Some(&TraceConfig::full()), ..Observers::default() };
+        let (traced, lifecycle) = SmartApBenchmark::replay_observed(
             &sample,
             &ApContext::bench_fleet(),
+            &FaultsConfig::default(),
             &RngFactory::new(148),
-            &TraceConfig::full(),
+            &Registry::new(),
+            observers,
         );
+        let lifecycle = lifecycle.expect("tracing was requested");
         // Tracing must not perturb the replay itself.
-        assert_eq!(plain.failure_ratio(), traced.failure_ratio());
+        assert_eq!(plain(&sample, 148).failure_ratio(), traced.failure_ratio());
         assert_eq!(lifecycle.traces.traces.len(), sample.len());
         for (trace, record) in lifecycle.traces.traces.iter().zip(traced.records()) {
             assert_eq!(trace.completion_ms(), Some(record.duration.as_millis()));
@@ -495,26 +406,17 @@ mod tests {
 
     #[test]
     fn ap_fault_windows_slow_and_kill_tasks_but_zero_intensity_is_free() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(149);
-        let catalog = Catalog::generate(&CatalogConfig::scaled(0.02), &mut rng);
-        let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
-        let workload =
-            Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        let sample = sample_benchmark_workload(&workload, &catalog, &population, 3000, &mut rng);
+        let sample = bench_sample(3000, 149);
         let fleet = ApContext::bench_fleet();
-        let plain = SmartApBenchmark::replay_fleet(&sample, &fleet, &RngFactory::new(149));
-        // Zero intensity must not perturb a single record.
-        let quiet = SmartApBenchmark::replay_fleet_faulted(
-            &sample,
-            &fleet,
-            &RngFactory::new(149),
-            &FaultsConfig::default(),
-        );
+        let plain = plain(&sample, 149);
+        // Zero intensity must not perturb a single record, whatever the
+        // other knobs say.
+        let zero = FaultsConfig { window_s: 60.0, ap_slowdown: 0.9, ..FaultsConfig::default() };
+        let quiet = replay(&sample, &fleet, &zero, 149);
         assert_eq!(format!("{:?}", plain.records()), format!("{:?}", quiet.records()));
         // An aggressive plan kills some tasks and stalls others.
         let faults = FaultsConfig { intensity: 0.2, ..FaultsConfig::default() };
-        let faulted =
-            SmartApBenchmark::replay_fleet_faulted(&sample, &fleet, &RngFactory::new(149), &faults);
+        let faulted = replay(&sample, &fleet, &faults, 149);
         assert!(
             faulted.failure_ratio() > plain.failure_ratio(),
             "power cycles should raise failures: {} vs {}",
@@ -530,19 +432,14 @@ mod tests {
     #[test]
     fn usb3_fleet_lifts_the_newifi_storage_cap() {
         use odx_storage::{DeviceKind, FsKind};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(147);
-        let catalog = Catalog::generate(&CatalogConfig::scaled(0.02), &mut rng);
-        let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
-        let workload =
-            Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        let sample = sample_benchmark_workload(&workload, &catalog, &population, 6000, &mut rng);
+        let sample = bench_sample(6000, 147);
         let fleet = ApContext::bench_fleet().map(|c| ApContext {
             device: DeviceKind::UsbHdd,
             fs: FsKind::Ext4,
             ..c
         });
-        let stock = SmartApBenchmark::replay(&sample, &RngFactory::new(147));
-        let upgraded = SmartApBenchmark::replay_fleet(&sample, &fleet, &RngFactory::new(147));
+        let stock = plain(&sample, 147);
+        let upgraded = replay(&sample, &fleet, &FaultsConfig::default(), 147);
         assert!(
             upgraded.max_speed_kbps(ApModel::Newifi) > stock.max_speed_kbps(ApModel::Newifi),
             "USB-HDD/EXT4 should beat the stock NTFS flash drive"

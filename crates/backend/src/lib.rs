@@ -45,6 +45,7 @@ pub use backends::{CloudAssistedApBackend, CloudBackend, SmartApBackend, UserDev
 pub use config::{apply_dynamics, BackendConfig};
 pub use metrics::BackendMetrics;
 pub use odx_cache::{CacheConfig, PolicyKind};
+pub use odx_faults::{FaultPlan, FaultsConfig};
 pub use outcome::Outcome;
 pub use request::{ApContext, CloudContentState, ExecCtx, ProxyRequest};
 pub use scenario::{Scenario, ScenarioRegistry};

@@ -1,5 +1,6 @@
 //! The one outcome struct every evaluator shares.
 
+use odx_faults::{FaultDomain, FaultKind, FaultPlan};
 use odx_p2p::FailureCause;
 use odx_sim::SimDuration;
 use serde::Serialize;
@@ -71,6 +72,31 @@ impl Outcome {
     /// Total bytes this outcome moved across all legs (MB).
     pub fn total_mb(&self) -> f64 {
         self.cloud_upload_mb + self.source_traffic_mb + self.lan_mb
+    }
+
+    /// Apply the smart-AP fault window open at `at_ms` (the task's start on
+    /// the caller's virtual clock), if any. A power cycle loses the task
+    /// but keeps its time and traffic; a disk stall slows a successful
+    /// transfer by the window severity and pins it to the storage wall.
+    /// Injection draws nothing, so an empty plan leaves `self` untouched.
+    pub fn apply_ap_fault(&mut self, plan: &FaultPlan, at_ms: u64) {
+        let Some(window) = plan.active(FaultDomain::SmartAp, at_ms) else { return };
+        match window.kind {
+            FaultKind::ApPowerCycle => {
+                self.success = false;
+                self.cause = Some(FailureCause::SystemBug);
+                self.rate_kbps = 0.0;
+                self.storage_limited = false;
+            }
+            FaultKind::ApDiskStall if self.success => {
+                self.rate_kbps *= window.severity;
+                self.duration =
+                    SimDuration::from_secs_f64(self.duration.as_secs_f64() / window.severity);
+                self.iowait = 1.0 - (1.0 - self.iowait) * window.severity;
+                self.storage_limited = true;
+            }
+            _ => {}
+        }
     }
 }
 

@@ -3,8 +3,10 @@
 //! onto the shared `ProxyBackend` layer. A diff here means the refactor
 //! changed the replayed outcomes, not just the code structure.
 
-use odx_backend::SmartApBenchmark;
+use odx_backend::{ApContext, SmartApBenchmark};
+use odx_faults::FaultsConfig;
 use odx_sim::RngFactory;
+use odx_telemetry::{Observers, Registry};
 use odx_trace::{
     sample_benchmark_workload, Catalog, CatalogConfig, Population, PopulationConfig, Workload,
     WorkloadConfig,
@@ -100,7 +102,14 @@ fn ap_benchmark_matches_pre_refactor_goldens() {
     let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
     let workload = Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
     let sample = sample_benchmark_workload(&workload, &catalog, &population, 60, &mut rng);
-    let report = SmartApBenchmark::replay(&sample, &RngFactory::new(seed));
+    let (report, _) = SmartApBenchmark::replay_observed(
+        &sample,
+        &ApContext::bench_fleet(),
+        &FaultsConfig::default(),
+        &RngFactory::new(seed),
+        &Registry::new(),
+        Observers::default(),
+    );
 
     let golden: Vec<&str> = GOLDEN_RECORDS.lines().collect();
     assert_eq!(report.records().len(), golden.len());

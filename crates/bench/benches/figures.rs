@@ -7,6 +7,7 @@ use std::hint::black_box;
 
 use odx::stats::fit::{fit_se, fit_zipf, rank_frequency};
 use odx::stats::Ecdf;
+use odx::telemetry::{Observers, Registry};
 use odx::Study;
 
 fn bench_fig05_file_sizes(c: &mut Criterion) {
@@ -33,10 +34,12 @@ fn bench_fig08_11_cloud_week(c: &mut Criterion) {
     let study = Study::generate(0.002, 4);
     let mut group = c.benchmark_group("fig08_11");
     group.sample_size(10);
+    let scenario = Study::paper_default();
+    let replay = || study.replay_cloud(&scenario, &Registry::new(), Observers::default()).0;
     group.bench_function("cloud_week_replay_0.002", |b| {
-        b.iter(|| black_box(study.replay_cloud().counters.requests))
+        b.iter(|| black_box(replay().counters.requests))
     });
-    let report = study.replay_cloud();
+    let report = replay();
     group.bench_function("fetch_speed_cdf", |b| {
         b.iter(|| black_box(report.fetch_speed_ecdf().median()))
     });
@@ -48,7 +51,10 @@ fn bench_fig13_14_smartap(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig13_14");
     group.sample_size(20);
     group.bench_function("smartap_replay_300", |b| {
-        b.iter(|| black_box(study.replay_smart_aps(300).failure_ratio()))
+        let scenario = Study::paper_default();
+        let replay =
+            || study.replay_smart_aps(300, &scenario, &Registry::new(), Observers::default());
+        b.iter(|| black_box(replay().0.failure_ratio()))
     });
     group.finish();
 }
@@ -64,7 +70,9 @@ fn bench_fig16_17_odr(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig16_17");
     group.sample_size(20);
     group.bench_function("odr_eval_300", |b| {
-        b.iter(|| black_box(study.replay_odr(300).impeded_ratio()))
+        let scenario = Study::paper_default();
+        let replay = || study.replay_odr(300, &scenario, &Registry::new(), Observers::default());
+        b.iter(|| black_box(replay().0.impeded_ratio()))
     });
     group.finish();
 }

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use odx::cloud::LruCache;
+use odx::cache::LruCache;
 use odx::net::Isp;
 use odx::odr::{ApContext, OdrEngine, OdrRequest};
 use odx::proto::http::Request;

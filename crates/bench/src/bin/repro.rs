@@ -115,7 +115,8 @@ use odx::storage::{DeviceKind, FsKind};
 use odx::Study;
 use odx_bench::{mmmm, peak_rss_mb, rel, row};
 use odx_telemetry::{
-    render_rows, rows_from_walls, validate_chrome_trace, LifecycleReport, Registry, TraceConfig,
+    global, render_rows, rows_from_walls, validate_chrome_trace, LifecycleReport, Observers,
+    Registry, TraceConfig,
 };
 
 const COMMANDS: &[&str] = &[
@@ -255,6 +256,13 @@ fn fail_usage(message: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value after `flag`, parsed as `T`. A missing or unparsable value
+/// exits 2 naming the flag, like every other usage error.
+fn flag_value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let Some(raw) = args.next() else { fail_usage(&format!("{flag} needs a value")) };
+    raw.parse().unwrap_or_else(|_| fail_usage(&format!("{flag}: invalid value `{raw}`")))
+}
+
 /// Parse a `--set dotted.path=value` operand. The value is JSON when it
 /// parses as JSON (`2`, `true`, `["a","b"]`) and a bare string otherwise
 /// (`gdsf` needs no quoting).
@@ -288,35 +296,30 @@ fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scenario" => scenario_selector = args.next().expect("--scenario value"),
-            "--scenario-file" => {
-                scenario_files.push(PathBuf::from(args.next().expect("--scenario-file value")))
-            }
-            "--set" => sets.push(parse_set(&args.next().expect("--set value"))),
+            "--scenario" => scenario_selector = flag_value(&mut args, "--scenario"),
+            "--scenario-file" => scenario_files.push(flag_value(&mut args, "--scenario-file")),
+            "--set" => sets.push(parse_set(&flag_value::<String>(&mut args, "--set"))),
             "--all" => dump_all = true,
             "--policy" => {
                 // Cache and retry policy names share the flag (the two
                 // namespaces are disjoint): `lru` narrows cache-compare,
                 // `expo` narrows the resilience grid.
-                let name = args.next().expect("--policy value");
+                let name: String = flag_value(&mut args, "--policy");
                 match (PolicyKind::parse(&name), odx::faults::RetryKind::parse(&name)) {
                     (Some(p), _) => policy = Some(p),
                     (None, Some(r)) => retry_policy = Some(r),
                     (None, None) => usage_error(&format!("cache or retry policy `{name}`")),
                 }
             }
-            "--scale" => scale = args.next().expect("--scale value").parse().expect("scale"),
-            "--seed" => seed = args.next().expect("--seed value").parse().expect("seed"),
-            "--seeds" => seeds = args.next().expect("--seeds value").parse().expect("seeds"),
-            "--jobs" => jobs = args.next().expect("--jobs value").parse().expect("jobs"),
-            "--sample" => sample = args.next().expect("--sample value").parse().expect("sample"),
-            "--trace-sample" => {
-                trace_sample =
-                    args.next().expect("--trace-sample value").parse().expect("trace-sample")
-            }
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out dir"))),
-            "--metrics" => metrics = Some(PathBuf::from(args.next().expect("--metrics file"))),
-            "--json" => json = Some(PathBuf::from(args.next().expect("--json file"))),
+            "--scale" => scale = flag_value(&mut args, "--scale"),
+            "--seed" => seed = flag_value(&mut args, "--seed"),
+            "--seeds" => seeds = flag_value(&mut args, "--seeds"),
+            "--jobs" => jobs = flag_value(&mut args, "--jobs"),
+            "--sample" => sample = flag_value(&mut args, "--sample"),
+            "--trace-sample" => trace_sample = flag_value(&mut args, "--trace-sample"),
+            "--out" => out = Some(flag_value(&mut args, "--out")),
+            "--metrics" => metrics = Some(flag_value(&mut args, "--metrics")),
+            "--json" => json = Some(flag_value(&mut args, "--json")),
             "--progress" => progress = true,
             flag if flag.starts_with('-') => usage_error(&format!("flag `{flag}`")),
             word => positionals.push(word.to_owned()),
@@ -501,7 +504,7 @@ fn main() {
         let registry = odx_telemetry::global();
         let events_before = registry.counter("sim.events").get();
         let start = std::time::Instant::now();
-        let report = study.replay_cloud_scenario(&opts.scenario);
+        let report = cloud_week(&study, &opts.scenario);
         let wall = start.elapsed().as_secs_f64();
         let events = registry.counter("sim.events").get() - events_before;
         registry.set_wall("sim.wall_secs", wall);
@@ -528,7 +531,9 @@ fn main() {
     }
 
     let needs_ap = want("fig13") || want("fig14") || want("headline");
-    let aps = needs_ap.then(|| study.replay_smart_aps_scenario(opts.sample, &opts.scenario));
+    let aps = needs_ap.then(|| {
+        study.replay_smart_aps(opts.sample, &opts.scenario, global(), Observers::default()).0
+    });
     if let Some(report) = &aps {
         if want("fig13") {
             fig13(report, &opts);
@@ -548,7 +553,8 @@ fn main() {
         fig15();
     }
     if want("fig16") || want("fig17") || want("headline") {
-        let eval = study.replay_odr_scenario(opts.sample, &opts.scenario);
+        let (eval, _) =
+            study.replay_odr(opts.sample, &opts.scenario, global(), Observers::default());
         if want("fig16") {
             fig16(cloud.as_ref(), &eval, opts.scale);
         }
@@ -591,6 +597,12 @@ fn main() {
     }
 
     write_metrics(&opts);
+}
+
+/// Replay the cloud week under `scenario` into the process-global
+/// registry, the one `--metrics` dumps.
+fn cloud_week(study: &Study, scenario: &Scenario) -> WeekReport {
+    study.replay_cloud(scenario, global(), Observers::default()).0
 }
 
 /// Record the process peak RSS in the (nondeterministic, export-excluded)
@@ -865,11 +877,13 @@ fn headline(report: &WeekReport) {
 /// wall section.
 fn traced_cloud_replay(opts: &Options) -> LifecycleReport {
     let study = Study::generate_scenario(opts.scale, opts.seed, &opts.scenario);
-    let registry = odx_telemetry::global();
+    let registry = global();
     let start = std::time::Instant::now();
-    let (_, lifecycle) = study.replay_cloud_traced(&opts.scenario, registry, &opts.trace_config());
+    let trace = opts.trace_config();
+    let observers = Observers { trace: Some(&trace), ..Observers::default() };
+    let (_, lifecycle) = study.replay_cloud(&opts.scenario, registry, observers);
     registry.set_wall("trace.wall_secs", start.elapsed().as_secs_f64());
-    lifecycle
+    lifecycle.expect("tracing was requested")
 }
 
 /// `--out` as the directory it names (ignoring `trace`'s file form).
@@ -1371,7 +1385,8 @@ fn profile_cmd(opts: &Options) {
     ));
     let study = Study::generate_scenario(opts.scale, opts.seed, &opts.scenario);
     let registry = Registry::new();
-    let report = study.replay_cloud_profiled(&opts.scenario, &registry);
+    let profiled = Observers { profile: true, ..Observers::default() };
+    let (report, _) = study.replay_cloud(&opts.scenario, &registry, profiled);
     let wall = registry.snapshot().wall;
     let (rows, run_secs) = rows_from_walls(&wall).expect("profiled replay flushed prof.* walls");
     for line in render_rows(&rows, run_secs).lines() {
@@ -1563,22 +1578,15 @@ fn bench_report(opts: &Options) {
         // overhead ratio sees the same machine conditions as the plain
         // replays it is compared against.
         let start = std::time::Instant::now();
-        let _ = study.replay_cloud_profiled(&opts.scenario, &prof_registry);
+        let profiled = Observers { profile: true, ..Observers::default() };
+        let _ = study.replay_cloud(&opts.scenario, &prof_registry, profiled);
         best_prof_secs = best_prof_secs.min(start.elapsed().as_secs_f64());
         for (k, kind) in kinds.into_iter().enumerate() {
             let mut scenario = opts.scenario.clone();
             scenario.scheduler = kind;
-            let cfg = study.scenario_cloud_config(&scenario);
-            let registry = odx::telemetry::Registry::new();
+            let registry = Registry::new();
             let start = std::time::Instant::now();
-            odx::cloud::XuanfengCloud::replay_with_registry(
-                &study.catalog,
-                &study.population,
-                &study.workload,
-                cfg,
-                &study.rngs,
-                &registry,
-            );
+            study.replay_cloud(&scenario, &registry, Observers::default());
             let secs = start.elapsed().as_secs_f64();
             best_secs[k] = best_secs[k].min(secs);
             let snap = registry.snapshot();
@@ -1933,7 +1941,7 @@ fn fig17(eval: &OdrEvalReport, opts: &Options) {
 fn ablate_cache(study: &Study, baseline: &WeekReport) {
     section("Ablation — remove the cloud storage pool (§4.1 counterfactual)");
     let scenario = Study::scenarios().get("ablate-cache").expect("builtin preset").clone();
-    let report = study.replay_cloud_scenario(&scenario);
+    let report = cloud_week(study, &scenario);
     println!(
         "{}",
         row("failure ratio with pool", "8.7%", format!("{:.1}%", 100.0 * baseline.failure_ratio()))
@@ -1951,7 +1959,7 @@ fn ablate_cache(study: &Study, baseline: &WeekReport) {
 fn ablate_privileged(study: &Study, baseline: &WeekReport) {
     section("Ablation — disable privileged-path construction");
     let scenario = Study::scenarios().get("ablate-privileged").expect("builtin preset").clone();
-    let report = study.replay_cloud_scenario(&scenario);
+    let report = cloud_week(study, &scenario);
     println!(
         "{}",
         row(
@@ -2009,10 +2017,10 @@ fn ablate_storage() {
 fn sweep_cache(study: &Study) {
     section("Extension — storage-pool size vs cache hits and failures");
     println!("  (the paper's pool is 2 PB ≈ catalog-sized; how small could it be?)");
+    let mut scenario = Study::paper_default();
     for fraction in [0.0001_f64, 0.001, 0.01, 0.1, 1.0] {
-        let mut cfg = CloudConfig::at_scale(study.scale);
-        cfg.cache_capacity_mb *= fraction;
-        let report = study.replay_cloud_with(cfg);
+        scenario.cache_capacity_factor = fraction;
+        let report = cloud_week(study, &scenario);
         println!(
             "  pool ×{fraction:<7}: hit {:>5.1}%  failure {:>4.1}%  impeded {:>5.1}%",
             100.0 * report.hit_ratio(),
@@ -2047,7 +2055,7 @@ fn export_traces(study: &Study, opts: &Options) {
     section("Export — the dataset's three traces as TSV");
     let dir = opts.out.clone().unwrap_or_else(|| PathBuf::from("out"));
     std::fs::create_dir_all(&dir).expect("create output dir");
-    let report = study.replay_cloud();
+    let report = cloud_week(study, &Study::paper_default());
 
     // Workload trace.
     let workload_records: Vec<odx::trace::records::WorkloadRecord> = study
@@ -2113,7 +2121,7 @@ fn ablate_ledbat(study: &Study) {
     section("Extension — LEDBAT-style cloud seeding of hot swarms (§6.1 discussion)");
     use odx::p2p::multiplier::{BandwidthMultiplier, SeedGovernor};
     use odx::sim::SimTime;
-    let report = study.replay_cloud();
+    let report = cloud_week(study, &Study::paper_default());
     let cap_kbps = CloudConfig::at_scale(study.scale).scaled_upload_kbps();
     let mult = BandwidthMultiplier::default();
     let mut governor = SeedGovernor::new(cap_kbps, 300.0);
@@ -2166,7 +2174,7 @@ fn sweep_userbase(study: &Study) {
         // demand per unit capacity.
         let mut scenario = preset.clone();
         scenario.demand_factor = factor;
-        let report = study.replay_cloud_scenario(&scenario);
+        let report = cloud_week(study, &scenario);
         println!(
             "  demand ×{factor:<4} → rejected {:>5.2}%   impeded {:>5.1}%",
             100.0 * report.rejection_ratio(),

@@ -73,6 +73,35 @@ fn unknown_subcommand_still_exits_2() {
 }
 
 #[test]
+fn missing_or_malformed_flag_values_exit_2_naming_the_flag() {
+    let valued = [
+        "--scenario",
+        "--scenario-file",
+        "--set",
+        "--policy",
+        "--scale",
+        "--seed",
+        "--seeds",
+        "--jobs",
+        "--sample",
+        "--trace-sample",
+        "--out",
+        "--metrics",
+        "--json",
+    ];
+    for flag in valued {
+        let out = repro(&["list", flag]);
+        assert_eq!(out.status.code(), Some(2), "`repro list {flag}`: {}", stderr(&out));
+        assert!(stderr(&out).contains(&format!("{flag} needs a value")), "{}", stderr(&out));
+    }
+    for flag in ["--scale", "--seed", "--seeds", "--jobs", "--sample", "--trace-sample"] {
+        let out = repro(&["list", flag, "abc"]);
+        assert_eq!(out.status.code(), Some(2), "`repro list {flag} abc`: {}", stderr(&out));
+        assert!(stderr(&out).contains(&format!("{flag}: invalid value `abc`")), "{}", stderr(&out));
+    }
+}
+
+#[test]
 fn scenario_show_prints_canonical_json_only() {
     let out = repro(&["scenario", "show", "paper-default"]);
     assert_eq!(out.status.code(), Some(0));

@@ -145,4 +145,18 @@ mod tests {
         assert!((c.scaled_upload_kbps() - 375_000.0).abs() < 1e-6);
         assert!((c.scaled_cache_mb() - 2.0e8).abs() < 1e-3);
     }
+
+    /// Scenario-free callers replay `paper-default`; that is only sound
+    /// while the preset resolves to exactly the plain scaled config.
+    #[test]
+    fn paper_default_scenario_is_the_plain_scaled_config() {
+        let registry = odx_backend::ScenarioRegistry::builtin();
+        let scenario = registry.get("paper-default").expect("builtin baseline");
+        for scale in [0.002, 0.1, 1.0] {
+            assert_eq!(
+                format!("{:?}", CloudConfig::for_scenario(scale, scenario)),
+                format!("{:?}", CloudConfig::at_scale(scale))
+            );
+        }
+    }
 }

@@ -8,8 +8,7 @@
 //!   popularity statistics (what ODR queries) and cached status.
 //! * the 2 PB collaborative storage pool, now a pluggable
 //!   [`odx_cache::CachePolicy`] selected by [`CloudConfig`]'s `cache` field
-//!   (single-shard [`odx_cache::LruCache`] by default — the paper's model);
-//!   the old `odx_cloud::LruCache` name remains as a deprecated alias.
+//!   (single-shard [`odx_cache::LruCache`] by default — the paper's model).
 //! * [`PredownloadModel`] — virtual-machine pre-downloaders on 20 Mbps links
 //!   with the production 1-hour stagnation timeout.
 //! * [`dedup`] — the chunk-level-dedup estimator behind §2.1's design
@@ -28,7 +27,6 @@
 //! the congestion behaviour (Bottleneck 2) is scale-invariant.
 
 mod backend;
-mod cache;
 mod config;
 mod content_db;
 pub mod dedup;
@@ -39,12 +37,11 @@ mod system;
 mod upload;
 
 pub use backend::CloudWeekBackend;
-#[allow(deprecated)]
-pub use cache::LruCache;
 pub use config::CloudConfig;
 pub use content_db::{ContentDb, FileState};
 pub use fetch::{FetchModel, FetchPlan};
 pub use odx_cache::{CacheConfig, PolicyKind};
+pub use odx_telemetry::Observers;
 pub use predownload::{PredownloadModel, PredownloadOutcome};
-pub use system::{Counters, Observers, WeekReport, XuanfengCloud};
+pub use system::{Counters, WeekReport, XuanfengCloud};
 pub use upload::{Admission, UploadPool};

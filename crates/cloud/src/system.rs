@@ -14,8 +14,8 @@ use odx_sim::{
 use odx_stats::dist::u01;
 use odx_stats::{BinnedSeries, Ecdf};
 use odx_telemetry::{
-    Counter, Gauge, Histogram, HistogramHandle, Lifecycle, LifecycleReport, Registry,
-    SeriesRecorder, Stage, TaskEnd, TraceConfig,
+    Counter, Gauge, Histogram, HistogramHandle, Lifecycle, LifecycleReport, Observers, Registry,
+    SeriesRecorder, Stage, TaskEnd,
 };
 use odx_trace::records::{FetchRecord, PredownloadRecord};
 use odx_trace::{Catalog, PopularityClass, Population, Request, Workload};
@@ -403,22 +403,6 @@ impl CloudMetrics {
     }
 }
 
-/// Optional observers for a cloud replay: any combination of per-task
-/// lifecycle tracing, virtual-time series recording, and wall profiling.
-/// [`Default`] is the unobserved replay.
-#[derive(Default)]
-pub struct Observers<'a> {
-    /// Per-task lifecycle tracing (`None` = off).
-    pub trace: Option<&'a TraceConfig>,
-    /// Virtual-time series recording: the replay registers the cloud's
-    /// headline metrics on the recorder, samples them on the engine's
-    /// grid, and finishes the series at the end-of-run clock.
-    pub series: Option<SeriesRecorder>,
-    /// Wall profiling: per-handler and scheduler-pop `Instant` buckets,
-    /// flushed into the registry's wall section.
-    pub profile: bool,
-}
-
 /// Register the cloud replay's headline metrics on a series recorder:
 /// engine throughput, the request/cache/pre-download/fetch counters, the
 /// per-ISP upload admissions (the paper's per-ISP weekly curves), the
@@ -652,74 +636,16 @@ impl<'a> XuanfengCloud<'a> {
         }
     }
 
-    /// Run the full replay, consuming the world. Metrics land in the
-    /// process-wide [`odx_telemetry::global`] registry.
-    pub fn replay(
-        catalog: &Catalog,
-        population: &Population,
-        workload: &Workload,
-        cfg: CloudConfig,
-        rngs: &RngFactory,
-    ) -> WeekReport {
-        Self::replay_with_registry(
-            catalog,
-            population,
-            workload,
-            cfg,
-            rngs,
-            odx_telemetry::global(),
-        )
-    }
-
-    /// Run the full replay, recording metrics and sim spans into an
-    /// explicit registry. With a fresh registry per call, two same-seed
-    /// replays produce byte-identical metric snapshots.
-    pub fn replay_with_registry(
-        catalog: &Catalog,
-        population: &Population,
-        workload: &Workload,
-        cfg: CloudConfig,
-        rngs: &RngFactory,
-        registry: &Registry,
-    ) -> WeekReport {
-        Self::replay_observed(
-            catalog,
-            population,
-            workload,
-            cfg,
-            rngs,
-            registry,
-            Observers::default(),
-        )
-        .0
-    }
-
-    /// Run the full replay with per-task lifecycle tracing on: every
-    /// sampled task gets a [`odx_telemetry::TaskTrace`] covering arrival,
-    /// cache/dedup lookups, pre-downloading, queueing, upload admission,
-    /// and the fetch, and anomalous terminals dump the flight recorder.
-    /// All trace timestamps are virtual, so the returned
-    /// [`LifecycleReport`] is byte-identical across same-seed runs.
-    pub fn replay_traced(
-        catalog: &Catalog,
-        population: &Population,
-        workload: &Workload,
-        cfg: CloudConfig,
-        rngs: &RngFactory,
-        registry: &Registry,
-        trace: &TraceConfig,
-    ) -> (WeekReport, LifecycleReport) {
-        let observers = Observers { trace: Some(trace), ..Observers::default() };
-        let (report, lifecycle) =
-            Self::replay_observed(catalog, population, workload, cfg, rngs, registry, observers);
-        (report, lifecycle.expect("tracing was requested"))
-    }
-
-    /// Run the full replay with an explicit [`Observers`] bundle: any
-    /// combination of lifecycle tracing, virtual-time series recording,
-    /// and wall profiling. The deterministic outputs (week report,
-    /// metric snapshot, series, lifecycle) are byte-identical to an
-    /// unobserved same-seed replay; only the wall section differs.
+    /// Run the full replay, recording metrics and sim spans into
+    /// `registry`, with an explicit [`Observers`] bundle: any combination
+    /// of lifecycle tracing, virtual-time series recording, and wall
+    /// profiling. With a fresh registry per call, two same-seed replays
+    /// produce byte-identical metric snapshots. The deterministic outputs
+    /// (week report, metric snapshot, series, lifecycle) are
+    /// byte-identical to an unobserved same-seed replay; only the wall
+    /// section differs. Lifecycle tracing covers arrival, cache/dedup
+    /// lookups, pre-downloading, queueing, upload admission, and the
+    /// fetch, and anomalous terminals dump the flight recorder.
     #[allow(clippy::too_many_arguments)]
     pub fn replay_observed(
         catalog: &Catalog,
@@ -1254,17 +1180,55 @@ impl World for XuanfengCloud<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odx_telemetry::TraceConfig;
     use odx_trace::{CatalogConfig, PopulationConfig, WorkloadConfig};
     use rand::SeedableRng;
 
-    fn replay_at(scale: f64, seed: u64) -> WeekReport {
+    /// An unobserved replay into a fresh registry.
+    fn replay(
+        catalog: &Catalog,
+        population: &Population,
+        workload: &Workload,
+        cfg: CloudConfig,
+        rngs: &RngFactory,
+    ) -> WeekReport {
+        let registry = Registry::new();
+        let observers = Observers::default();
+        XuanfengCloud::replay_observed(
+            catalog, population, workload, cfg, rngs, &registry, observers,
+        )
+        .0
+    }
+
+    /// A traced replay at `scale` into `registry`.
+    fn replay_traced(
+        scale: f64,
+        seed: u64,
+        registry: &Registry,
+        trace: &TraceConfig,
+    ) -> (WeekReport, LifecycleReport) {
         let rngs = RngFactory::new(seed);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let catalog = Catalog::generate(&CatalogConfig::scaled(scale), &mut rng);
         let population = Population::generate(&PopulationConfig::scaled(scale), &mut rng);
         let workload =
             Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        XuanfengCloud::replay(&catalog, &population, &workload, CloudConfig::at_scale(scale), &rngs)
+        let observers = Observers { trace: Some(trace), ..Observers::default() };
+        let cfg = CloudConfig::at_scale(scale);
+        let (report, lifecycle) = XuanfengCloud::replay_observed(
+            &catalog,
+            &population,
+            &workload,
+            cfg,
+            &rngs,
+            registry,
+            observers,
+        );
+        (report, lifecycle.expect("tracing was requested"))
+    }
+
+    fn replay_at(scale: f64, seed: u64) -> WeekReport {
+        replay_with(scale, seed, CloudConfig::at_scale(scale))
     }
 
     #[test]
@@ -1298,7 +1262,7 @@ mod tests {
         let population = Population::generate(&PopulationConfig::scaled(scale), &mut rng);
         let workload =
             Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        XuanfengCloud::replay(&catalog, &population, &workload, cfg, &rngs)
+        replay(&catalog, &population, &workload, cfg, &rngs)
     }
 
     #[test]
@@ -1363,11 +1327,9 @@ mod tests {
         let workload =
             Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
         let mut cfg = CloudConfig::at_scale(0.005);
-        let with_cache =
-            XuanfengCloud::replay(&catalog, &population, &workload, cfg, &rngs).failure_ratio();
+        let with_cache = replay(&catalog, &population, &workload, cfg, &rngs).failure_ratio();
         cfg.cache_enabled = false;
-        let without_cache =
-            XuanfengCloud::replay(&catalog, &population, &workload, cfg, &rngs).failure_ratio();
+        let without_cache = replay(&catalog, &population, &workload, cfg, &rngs).failure_ratio();
         // §4.1: 8.7 % with the pool vs 16.4 % without.
         assert!(
             without_cache > with_cache * 1.4,
@@ -1443,20 +1405,21 @@ mod tests {
     #[test]
     fn metrics_snapshot_is_byte_identical_across_same_seed_replays() {
         let run = || {
-            let registry = odx_telemetry::Registry::new();
+            let registry = Registry::new();
             let rngs = RngFactory::new(121);
             let mut rng = rand::rngs::StdRng::seed_from_u64(121);
             let catalog = Catalog::generate(&CatalogConfig::scaled(0.002), &mut rng);
             let population = Population::generate(&PopulationConfig::scaled(0.002), &mut rng);
             let workload =
                 Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-            let report = XuanfengCloud::replay_with_registry(
+            let (report, _) = XuanfengCloud::replay_observed(
                 &catalog,
                 &population,
                 &workload,
                 CloudConfig::at_scale(0.002),
                 &rngs,
                 &registry,
+                Observers::default(),
             );
             (registry.snapshot(), report)
         };
@@ -1482,22 +1445,7 @@ mod tests {
 
     #[test]
     fn lifecycle_spans_tile_completion_times_exactly() {
-        let registry = odx_telemetry::Registry::new();
-        let rngs = RngFactory::new(122);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(122);
-        let catalog = Catalog::generate(&CatalogConfig::scaled(0.002), &mut rng);
-        let population = Population::generate(&PopulationConfig::scaled(0.002), &mut rng);
-        let workload =
-            Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        let (report, lifecycle) = XuanfengCloud::replay_traced(
-            &catalog,
-            &population,
-            &workload,
-            CloudConfig::at_scale(0.002),
-            &rngs,
-            &registry,
-            &TraceConfig::full(),
-        );
+        let (report, lifecycle) = replay_traced(0.002, 122, &Registry::new(), &TraceConfig::full());
         assert_eq!(lifecycle.traces.traces.len(), report.counters.requests as usize);
         // Per task: the timed stages tile arrival → terminal exactly.
         let mut ended = 0u64;
@@ -1530,25 +1478,8 @@ mod tests {
 
     #[test]
     fn lifecycle_trace_is_deterministic_and_sampling_drops_whole_tasks() {
-        let run = |sample| {
-            let registry = odx_telemetry::Registry::new();
-            let rngs = RngFactory::new(123);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(123);
-            let catalog = Catalog::generate(&CatalogConfig::scaled(0.001), &mut rng);
-            let population = Population::generate(&PopulationConfig::scaled(0.001), &mut rng);
-            let workload =
-                Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-            XuanfengCloud::replay_traced(
-                &catalog,
-                &population,
-                &workload,
-                CloudConfig::at_scale(0.001),
-                &rngs,
-                &registry,
-                &TraceConfig::sampled(sample),
-            )
-            .1
-        };
+        let run =
+            |sample| replay_traced(0.001, 123, &Registry::new(), &TraceConfig::sampled(sample)).1;
         let full_a = run(1);
         let full_b = run(1);
         assert_eq!(full_a.traces.to_chrome_json(), full_b.traces.to_chrome_json());

@@ -1,6 +1,7 @@
 //! Property-based tests for the cloud's stateful components.
 
-use odx_cloud::{Admission, LruCache, UploadPool};
+use odx_cache::LruCache;
+use odx_cloud::{Admission, UploadPool};
 use odx_net::Isp;
 use proptest::prelude::*;
 

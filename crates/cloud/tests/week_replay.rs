@@ -2,25 +2,39 @@
 //! enough for the per-ISP pool granularity to wash out, pinned against the
 //! paper's §4 numbers (see EXPERIMENTS.md for the full ledger).
 
-use odx_cloud::{CloudConfig, XuanfengCloud};
+use odx_cloud::{CloudConfig, Observers, WeekReport, XuanfengCloud};
 use odx_sim::RngFactory;
+use odx_telemetry::Registry;
 use odx_trace::{Catalog, CatalogConfig, Population, PopulationConfig, Workload, WorkloadConfig};
 use rand::SeedableRng;
 
 const SCALE: f64 = 0.05;
 
-fn replay() -> odx_cloud::WeekReport {
+/// An unobserved replay into a fresh registry.
+fn replay(
+    catalog: &Catalog,
+    population: &Population,
+    workload: &Workload,
+    cfg: CloudConfig,
+    rngs: &RngFactory,
+) -> WeekReport {
+    let registry = Registry::new();
+    let observers = Observers::default();
+    XuanfengCloud::replay_observed(catalog, population, workload, cfg, rngs, &registry, observers).0
+}
+
+fn replay_week() -> WeekReport {
     let rngs = RngFactory::new(2015);
     let mut rng = rand::rngs::StdRng::seed_from_u64(2015);
     let catalog = Catalog::generate(&CatalogConfig::scaled(SCALE), &mut rng);
     let population = Population::generate(&PopulationConfig::scaled(SCALE), &mut rng);
     let workload = Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-    XuanfengCloud::replay(&catalog, &population, &workload, CloudConfig::at_scale(SCALE), &rngs)
+    replay(&catalog, &population, &workload, CloudConfig::at_scale(SCALE), &rngs)
 }
 
 #[test]
 fn week_replay_reproduces_section4() {
-    let report = replay();
+    let report = replay_week();
 
     // §2.1: 89 % of requests instantly satisfied from the pool.
     let hit = report.hit_ratio();
@@ -86,11 +100,9 @@ fn no_cache_counterfactual_matches_section4() {
     let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
     let workload = Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
     let mut cfg = CloudConfig::at_scale(0.02);
-    let with_cache =
-        XuanfengCloud::replay(&catalog, &population, &workload, cfg, &rngs).failure_ratio();
+    let with_cache = replay(&catalog, &population, &workload, cfg, &rngs).failure_ratio();
     cfg.cache_enabled = false;
-    let without =
-        XuanfengCloud::replay(&catalog, &population, &workload, cfg, &rngs).failure_ratio();
+    let without = replay(&catalog, &population, &workload, cfg, &rngs).failure_ratio();
     // §4.1: 8.7 % → 16.4 % without the pool.
     assert!((without - 0.164).abs() < 0.05, "no-cache failure {without}");
     assert!(without > 1.5 * with_cache, "{with_cache} → {without}");

@@ -11,16 +11,13 @@
 use std::collections::HashMap;
 
 use odx_backend::{
-    ApBenchReport, CloudAssistedApBackend, CloudBackend, CloudContentState, ExecCtx, ProxyBackend,
-    ProxyRequest, SmartApBackend, SmartApBenchmark, UserDeviceBackend,
+    ApBenchReport, CloudAssistedApBackend, CloudBackend, CloudContentState, ExecCtx, FaultPlan,
+    FaultsConfig, ProxyBackend, ProxyRequest, SmartApBackend, SmartApBenchmark, UserDeviceBackend,
 };
 use odx_net::HD_THRESHOLD_KBPS;
 use odx_sim::{RngFactory, SimDuration};
 use odx_stats::Ecdf;
-use odx_telemetry::{
-    Lifecycle, LifecycleReport, Registry, SeriesRecorder, SeriesSnapshot, Stage, TaskEnd,
-    TraceConfig,
-};
+use odx_telemetry::{Lifecycle, LifecycleReport, Observers, Registry, Stage, TaskEnd};
 use odx_trace::{PopularityClass, SampledRequest};
 use serde::Serialize;
 
@@ -149,88 +146,62 @@ impl OdrEvalReport {
 
 /// The replay driver: routes each task with the [`OdrEngine`], then hands
 /// it to the corresponding proxy backend.
+#[derive(Debug, Clone)]
 pub struct OdrReplay {
     engine: OdrEngine,
     cfg: ReplayConfig,
     fleet: [ApContext; 3],
+    faults: FaultsConfig,
 }
 
 impl Default for OdrReplay {
+    /// The §6.2 environment: default engine and config over the bench
+    /// fleet, no fault injection.
     fn default() -> Self {
-        OdrReplay::new(OdrEngine::default(), ReplayConfig::default())
+        OdrReplay {
+            engine: OdrEngine::default(),
+            cfg: ReplayConfig::default(),
+            fleet: ApContext::bench_fleet(),
+            faults: FaultsConfig::default(),
+        }
     }
 }
 
 impl OdrReplay {
-    /// A replay with explicit engine and config, over the §6.2 bench fleet.
-    pub fn new(engine: OdrEngine, cfg: ReplayConfig) -> Self {
-        OdrReplay::with_fleet(engine, cfg, ApContext::bench_fleet())
-    }
-
-    /// A replay whose round-robin AP assignment draws from an explicit
-    /// fleet (the scenario layer's entry point).
-    pub fn with_fleet(engine: OdrEngine, cfg: ReplayConfig, fleet: [ApContext; 3]) -> Self {
-        OdrReplay { engine, cfg, fleet }
-    }
-
     /// The replay a scenario preset describes: default engine, the
-    /// scenario's backend config and AP fleet.
+    /// scenario's backend config, AP fleet and fault plan.
     pub fn for_scenario(scenario: &odx_backend::Scenario) -> Self {
-        OdrReplay::with_fleet(OdrEngine::default(), scenario.backend, scenario.ap_fleet)
+        OdrReplay {
+            engine: OdrEngine::default(),
+            cfg: scenario.backend,
+            fleet: scenario.ap_fleet,
+            faults: scenario.faults,
+        }
     }
 
-    /// Replay `sample` through ODR. Tasks are assigned APs round-robin over
-    /// the replay's fleet (the §6.2 environment uses the three benchmark
-    /// boxes).
-    pub fn run(&self, sample: &[SampledRequest], rngs: &RngFactory) -> OdrEvalReport {
-        self.run_inner(sample, rngs, None, odx_telemetry::global(), None).0
-    }
-
-    /// Replay `sample` while recording a virtual-time metric series
-    /// (`odr.tasks`, `odr.failures`, and the per-proxy `odr.decision.*`
-    /// counters) at `interval_ms` on the replay's sequential virtual
-    /// clock. Counters land in `registry` (not the process-global one),
-    /// and the finished snapshot's last sample equals their final values.
-    pub fn run_series(
+    /// Replay `sample` through ODR, counting `odr.*` into `registry`: the
+    /// evaluator's one run path. Tasks are assigned APs round-robin over
+    /// the replay's fleet and laid end to end on one virtual clock. Tasks
+    /// whose decision runs on the AP (`SmartAp`, `CloudThenSmartAp`) see
+    /// the smart-AP fault windows open at their start on that clock; the
+    /// plan compiles from a dedicated `"odr-faults"` stream. Cloud-domain
+    /// windows do not reach the cloud decisions, which are one-shot
+    /// backend models. The embedded all-AP baseline replays the same
+    /// faults through [`SmartApBenchmark::replay_observed`] with a private
+    /// registry. Traces carry each task's verdict as a decision instant
+    /// and its execution as a timed span. A series samples `odr.tasks`,
+    /// `odr.failures` and `odr.decision.*`. `profile` is a no-op for this
+    /// sequential evaluator.
+    pub fn replay_observed(
         &self,
         sample: &[SampledRequest],
         rngs: &RngFactory,
         registry: &Registry,
-        interval_ms: u64,
-    ) -> (OdrEvalReport, SeriesSnapshot) {
-        let recorder = SeriesRecorder::new(interval_ms);
-        let (report, _) = self.run_inner(sample, rngs, None, registry, Some(&recorder));
-        (report, recorder.snapshot())
-    }
-
-    /// Replay `sample` with per-task lifecycle tracing: each task records
-    /// its ODR routing verdict as a decision instant and its backend
-    /// execution as a timed span on the replay's sequential virtual
-    /// clock; failures dump the flight recorder.
-    pub fn run_traced(
-        &self,
-        sample: &[SampledRequest],
-        rngs: &RngFactory,
-        trace: &TraceConfig,
-    ) -> (OdrEvalReport, LifecycleReport) {
-        let (report, lifecycle) = self.run_inner(
-            sample,
-            rngs,
-            Some(Lifecycle::new(trace)),
-            odx_telemetry::global(),
-            None,
-        );
-        (report, lifecycle.expect("tracing was requested"))
-    }
-
-    fn run_inner(
-        &self,
-        sample: &[SampledRequest],
-        rngs: &RngFactory,
-        lifecycle: Option<Lifecycle>,
-        registry: &Registry,
-        series: Option<&SeriesRecorder>,
+        observers: Observers<'_>,
     ) -> (OdrEvalReport, Option<LifecycleReport>) {
+        let plan = FaultPlan::compile(&self.faults, &mut rngs.stream("odr-faults"));
+        let lifecycle = observers.trace.map(Lifecycle::new);
+        let series = observers.series;
         // Per-file cloud state shared across the replay — the collaborative
         // cache and retry history every cloud-side backend reads and writes.
         let mut cloud_state = CloudContentState::new();
@@ -264,7 +235,7 @@ impl OdrReplay {
                 .map(|b| (b, registry.counter(&format!("odr.bottleneck.{}", b.key()))))
                 .collect();
 
-        if let Some(series) = series {
+        if let Some(series) = &series {
             for name in ["odr.tasks", "odr.failures"] {
                 series.track_counter(name, registry.counter(name));
             }
@@ -274,13 +245,13 @@ impl OdrReplay {
             }
         }
 
-        // The evaluation replays its sample sequentially; the traced
-        // variant lays tasks end to end on one virtual clock.
+        // The evaluation replays its sample sequentially, laying tasks end
+        // to end on one virtual clock.
         let mut clock = SimDuration::ZERO;
         for (i, req) in sample.iter().enumerate() {
             // Same grid discipline as the engine: every grid point the
             // clock has passed is sampled before this task's counters.
-            if let Some(series) = series {
+            if let Some(series) = &series {
                 while series.next_due_ms() < clock.as_millis() {
                     series.sample_due();
                 }
@@ -325,7 +296,10 @@ impl OdrReplay {
                 Decision::CloudThenSmartAp => &mut cloud_ap,
             };
             let mut ctx = ExecCtx { rng: &mut rng, cloud: &mut cloud_state };
-            let out = backend.execute(&proxy_req, &mut ctx);
+            let mut out = backend.execute(&proxy_req, &mut ctx);
+            if matches!(verdict.decision, Decision::SmartAp | Decision::CloudThenSmartAp) {
+                out.apply_ap_fault(&plan, clock.as_millis());
+            }
             if !out.success {
                 failures_counter.inc();
             }
@@ -365,13 +339,19 @@ impl OdrReplay {
             });
         }
 
-        if let Some(series) = series {
+        if let Some(series) = &series {
             series.finish(clock.as_millis());
         }
 
-        // Baselines over the identical sample (and the identical fleet).
-        let baseline_ap =
-            SmartApBenchmark::replay_fleet(sample, &self.fleet, &rngs.child("odr-baseline-ap"));
+        // Baselines over the identical sample, fleet and faults.
+        let (baseline_ap, _) = SmartApBenchmark::replay_observed(
+            sample,
+            &self.fleet,
+            &self.faults,
+            &rngs.child("odr-baseline-ap"),
+            &Registry::new(),
+            Observers::default(),
+        );
         let baseline_cloud_upload_mb = sample.iter().map(|r| r.size_mb).sum();
 
         (
@@ -384,20 +364,30 @@ impl OdrReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odx_telemetry::{SeriesRecorder, TraceConfig};
     use odx_trace::{
         sample_eval_workload, Catalog, CatalogConfig, Population, PopulationConfig, Workload,
         WorkloadConfig,
     };
     use rand::SeedableRng;
 
-    fn eval(n: usize, seed: u64) -> OdrEvalReport {
+    fn eval_sample(n: usize, seed: u64) -> Vec<SampledRequest> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let catalog = Catalog::generate(&CatalogConfig::scaled(0.02), &mut rng);
         let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
         let workload =
             Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        let sample = sample_eval_workload(&workload, &catalog, &population, n, &mut rng);
-        OdrReplay::default().run(&sample, &RngFactory::new(seed))
+        sample_eval_workload(&workload, &catalog, &population, n, &mut rng)
+    }
+
+    /// An unobserved default replay of `sample` into `registry`.
+    fn run(sample: &[SampledRequest], seed: u64, registry: &Registry) -> OdrEvalReport {
+        let rngs = RngFactory::new(seed);
+        OdrReplay::default().replay_observed(sample, &rngs, registry, Observers::default()).0
+    }
+
+    fn eval(n: usize, seed: u64) -> OdrEvalReport {
+        run(&eval_sample(n, seed), seed, &Registry::new())
     }
 
     #[test]
@@ -460,23 +450,20 @@ mod tests {
 
     #[test]
     fn series_replay_tracks_tasks_and_decisions_deterministically() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(167);
-        let catalog = Catalog::generate(&CatalogConfig::scaled(0.02), &mut rng);
-        let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
-        let workload =
-            Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        let sample = sample_eval_workload(&workload, &catalog, &population, 400, &mut rng);
-        let run = || {
+        let sample = eval_sample(400, 167);
+        let recorded = || {
             let registry = Registry::new();
-            let (report, series) = OdrReplay::default().run_series(
+            let series = SeriesRecorder::new(3_600_000);
+            let observers = Observers { series: Some(series.clone()), ..Observers::default() };
+            let (report, _) = OdrReplay::default().replay_observed(
                 &sample,
                 &RngFactory::new(167),
                 &registry,
-                3_600_000,
+                observers,
             );
-            (report, series, registry.snapshot())
+            (report, series.snapshot(), registry.snapshot())
         };
-        let (report, series, snapshot) = run();
+        let (report, series, snapshot) = recorded();
         assert!(series.times.len() > 1, "a 400-task replay spans multiple sim-hours");
         let last = |name: &str| series.series[name].final_value().unwrap() as u64;
         assert_eq!(last("odr.tasks"), 400);
@@ -496,35 +483,92 @@ mod tests {
             .sum();
         assert_eq!(tracked, decided);
         // Same inputs → byte-identical series; report matches the plain run.
-        let (report2, series2, _) = run();
+        let (report2, series2, _) = recorded();
         assert_eq!(series.to_json(), series2.to_json());
         assert_eq!(report.impeded_ratio(), report2.impeded_ratio());
-        let plain = OdrReplay::default().run(&sample, &RngFactory::new(167));
+        let plain = run(&sample, 167, &Registry::new());
         assert_eq!(plain.impeded_ratio(), report.impeded_ratio());
     }
 
     #[test]
     fn decision_counters_track_tasks() {
-        // The global registry is shared with concurrently running tests,
-        // so assert only that our replay's contribution arrived.
-        let tasks = odx_telemetry::global().counter("odr.tasks");
-        let decisions: Vec<_> = [
+        let registry = Registry::new();
+        let r = run(&eval_sample(500, 168), 168, &registry);
+        assert_eq!(r.tasks().len(), 500);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counters["odr.tasks"], 500);
+        // Every task got exactly one decision, and each per-proxy counter
+        // equals the report's count for that proxy.
+        let counts = r.decision_counts();
+        let mut decided = 0;
+        for d in [
             Decision::UserDevice,
             Decision::Cloud,
             Decision::SmartAp,
             Decision::CloudThenSmartAp,
             Decision::CloudPredownload,
-        ]
-        .into_iter()
-        .map(|d| odx_telemetry::global().counter(&format!("odr.decision.{d}")))
-        .collect();
-        let tasks_before = tasks.get();
-        let decisions_before: u64 = decisions.iter().map(|c| c.get()).sum();
-        let r = eval(500, 168);
-        assert_eq!(r.tasks().len(), 500);
-        assert!(tasks.get() >= tasks_before + 500);
-        // Every task got exactly one decision.
-        assert!(decisions.iter().map(|c| c.get()).sum::<u64>() >= decisions_before + 500);
+        ] {
+            let n = snapshot.counters[&format!("odr.decision.{d}")];
+            assert_eq!(n, counts.get(&d).copied().unwrap_or(0) as u64, "odr.decision.{d}");
+            decided += n;
+        }
+        assert_eq!(decided, 500);
+        let failures = r.tasks().iter().filter(|t| !t.success).count() as u64;
+        assert_eq!(snapshot.counters["odr.failures"], failures);
+    }
+
+    #[test]
+    fn paper_default_scenario_is_the_default_replay() {
+        let registry = odx_backend::ScenarioRegistry::builtin();
+        let scenario = registry.get("paper-default").expect("builtin baseline");
+        assert_eq!(
+            format!("{:?}", OdrReplay::for_scenario(scenario)),
+            format!("{:?}", OdrReplay::default())
+        );
+    }
+
+    #[test]
+    fn ap_fault_windows_hit_ap_routed_tasks_but_zero_intensity_is_free() {
+        let sample = eval_sample(3000, 170);
+        let registry = odx_backend::ScenarioRegistry::builtin();
+        let mut scenario = registry.get("paper-default").expect("builtin baseline").clone();
+        let mut replay = |faults| {
+            scenario.faults = faults;
+            let rngs = RngFactory::new(170);
+            let observers = Observers::default();
+            OdrReplay::for_scenario(&scenario)
+                .replay_observed(&sample, &rngs, &Registry::new(), observers)
+                .0
+        };
+        let plain = run(&sample, 170, &Registry::new());
+        // Zero intensity must not perturb a single task or baseline record,
+        // whatever the other knobs say.
+        let quiet = replay(FaultsConfig { window_s: 60.0, ap_slowdown: 0.9, ..Default::default() });
+        assert_eq!(format!("{:?}", plain.tasks()), format!("{:?}", quiet.tasks()));
+        assert_eq!(
+            format!("{:?}", plain.baseline_ap().records()),
+            format!("{:?}", quiet.baseline_ap().records())
+        );
+        // An aggressive plan kills some AP-routed tasks and stalls others.
+        let faulted = replay(FaultsConfig { intensity: 0.2, ..FaultsConfig::default() });
+        assert!(
+            faulted.failure_ratio() > plain.failure_ratio(),
+            "power cycles should raise failures: {} vs {}",
+            faulted.failure_ratio(),
+            plain.failure_ratio()
+        );
+        assert!(
+            faulted.storage_limited_ratio() > plain.storage_limited_ratio(),
+            "disk stalls should hit the storage wall more often"
+        );
+        // Only tasks whose decision runs on the AP can change.
+        for (a, b) in plain.tasks().iter().zip(faulted.tasks()) {
+            if !matches!(a.verdict.decision, Decision::SmartAp | Decision::CloudThenSmartAp) {
+                assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            }
+        }
+        // The embedded all-AP baseline runs under the same plan.
+        assert!(faulted.baseline_ap().failure_ratio() > plain.baseline_ap().failure_ratio());
     }
 
     #[test]
@@ -537,15 +581,16 @@ mod tests {
 
     #[test]
     fn traced_replay_records_decisions_and_tiles_durations() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(169);
-        let catalog = Catalog::generate(&CatalogConfig::scaled(0.02), &mut rng);
-        let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
-        let workload =
-            Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        let sample = sample_eval_workload(&workload, &catalog, &population, 400, &mut rng);
-        let plain = OdrReplay::default().run(&sample, &RngFactory::new(169));
-        let (traced, lifecycle) =
-            OdrReplay::default().run_traced(&sample, &RngFactory::new(169), &TraceConfig::full());
+        let sample = eval_sample(400, 169);
+        let plain = run(&sample, 169, &Registry::new());
+        let observers = Observers { trace: Some(&TraceConfig::full()), ..Observers::default() };
+        let (traced, lifecycle) = OdrReplay::default().replay_observed(
+            &sample,
+            &RngFactory::new(169),
+            &Registry::new(),
+            observers,
+        );
+        let lifecycle = lifecycle.expect("tracing was requested");
         // Tracing must not perturb the evaluation.
         assert_eq!(plain.failure_ratio(), traced.failure_ratio());
         assert_eq!(lifecycle.traces.traces.len(), sample.len());

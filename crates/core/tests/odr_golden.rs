@@ -6,6 +6,7 @@
 
 use odx_odr::replay::OdrReplay;
 use odx_sim::RngFactory;
+use odx_telemetry::{Observers, Registry};
 use odx_trace::{
     sample_eval_workload, Catalog, CatalogConfig, Population, PopulationConfig, Workload,
     WorkloadConfig,
@@ -201,7 +202,12 @@ fn odr_replay_matches_pre_refactor_goldens() {
     let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
     let workload = Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
     let sample = sample_eval_workload(&workload, &catalog, &population, 160, &mut rng);
-    let report = OdrReplay::default().run(&sample, &RngFactory::new(seed));
+    let (report, _) = OdrReplay::default().replay_observed(
+        &sample,
+        &RngFactory::new(seed),
+        &Registry::new(),
+        Observers::default(),
+    );
 
     let golden: Vec<&str> = GOLDEN_TASKS.lines().collect();
     assert_eq!(report.tasks().len(), golden.len());

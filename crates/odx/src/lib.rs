@@ -7,7 +7,14 @@
 //! provides [`Study`], the one-call bundle that generates a calibrated
 //! synthetic measurement week.
 //!
+//! Each of the paper's three systems has one run path on [`Study`] —
+//! [`Study::replay_cloud`], [`Study::replay_smart_aps`] and
+//! [`Study::replay_odr`] — taking the same scenario, explicit telemetry
+//! [`Registry`] and [`Observers`] bundle, so all three run under the same
+//! conditions (fault plan included).
+//!
 //! ```
+//! use odx::telemetry::{Observers, Registry};
 //! use odx::Study;
 //!
 //! // A 0.5 %-scale study (≈ 20k tasks) — deterministic in the seed.
@@ -15,7 +22,8 @@
 //! assert!(study.workload.len() > 10_000);
 //!
 //! // Replay the week on the cloud model and look at Fig 8's fetch curve.
-//! let report = study.replay_cloud();
+//! let scenario = Study::paper_default();
+//! let (report, _) = study.replay_cloud(&scenario, &Registry::new(), Observers::default());
 //! let median = report.fetch_speed_ecdf().median().unwrap();
 //! assert!(median > 100.0 && median < 600.0);
 //! ```
@@ -42,10 +50,10 @@ pub use odx_telemetry as telemetry;
 pub use odx_trace as trace;
 
 use odx_backend::{ApBenchReport, Scenario, ScenarioRegistry, SmartApBenchmark};
-use odx_cloud::{CloudConfig, Observers, WeekReport, XuanfengCloud};
+use odx_cloud::{CloudConfig, WeekReport, XuanfengCloud};
 use odx_odr::replay::{OdrEvalReport, OdrReplay};
 use odx_sim::RngFactory;
-use odx_telemetry::{LifecycleReport, Registry, SeriesRecorder, SeriesSnapshot, TraceConfig};
+use odx_telemetry::{LifecycleReport, Observers, Registry};
 use odx_trace::{
     sample_benchmark_workload, sample_eval_workload, Catalog, CatalogConfig, Population,
     PopulationConfig, SampledRequest, Workload, WorkloadConfig,
@@ -71,9 +79,7 @@ impl Study {
     /// Generate a study at `scale` of the paper's size, deterministic in
     /// `seed`.
     pub fn generate(scale: f64, seed: u64) -> Study {
-        let registry = ScenarioRegistry::builtin();
-        let baseline = registry.get("paper-default").expect("builtin baseline");
-        Study::generate_scenario(scale, seed, baseline)
+        Study::generate_scenario(scale, seed, &Study::paper_default())
     }
 
     /// Generate a study under a named scenario: same generators, but the
@@ -95,125 +101,70 @@ impl Study {
         ScenarioRegistry::builtin()
     }
 
-    /// The cloud config a scenario describes at this study's scale — see
-    /// [`CloudConfig::for_scenario`].
-    pub fn scenario_cloud_config(&self, scenario: &Scenario) -> CloudConfig {
-        CloudConfig::for_scenario(self.scale, scenario)
+    /// The `paper-default` preset: the paper's measured configuration,
+    /// which every caller without a scenario of its own replays.
+    pub fn paper_default() -> Scenario {
+        Study::scenarios().get("paper-default").expect("builtin baseline").clone()
     }
 
-    /// Replay the week on the cloud system (§4, Figs 8–11).
-    pub fn replay_cloud(&self) -> WeekReport {
-        self.replay_cloud_with(CloudConfig::at_scale(self.scale))
-    }
-
-    /// Replay the week under a scenario's cloud configuration.
-    pub fn replay_cloud_scenario(&self, scenario: &Scenario) -> WeekReport {
-        self.replay_cloud_with(self.scenario_cloud_config(scenario))
-    }
-
-    /// Replay the week with an explicit cloud config (ablations).
-    pub fn replay_cloud_with(&self, cfg: CloudConfig) -> WeekReport {
-        XuanfengCloud::replay(&self.catalog, &self.population, &self.workload, cfg, &self.rngs)
-    }
-
-    /// Replay the week under a scenario with per-task lifecycle tracing:
-    /// returns the week report plus a deterministic [`LifecycleReport`]
-    /// (sampled task traces, latency attribution, flight-recorder dumps).
-    pub fn replay_cloud_traced(
-        &self,
-        scenario: &Scenario,
-        registry: &Registry,
-        trace: &TraceConfig,
-    ) -> (WeekReport, LifecycleReport) {
-        let (report, mut lifecycle) = XuanfengCloud::replay_traced(
-            &self.catalog,
-            &self.population,
-            &self.workload,
-            self.scenario_cloud_config(scenario),
-            &self.rngs,
-            registry,
-            trace,
-        );
-        lifecycle.set_context(scenario.scheduler.name(), &scenario.name);
-        (report, lifecycle)
-    }
-
-    /// Replay the week under a scenario with an explicit observer bundle
-    /// (lifecycle tracing, series recording, wall profiling — see
-    /// [`Observers`]). Lifecycle reports come back stamped with the
-    /// scenario's scheduler and name.
-    pub fn replay_cloud_observed(
+    /// Replay the week on the cloud system (§4, Figs 8–11) under a
+    /// scenario's cloud configuration (see [`CloudConfig::for_scenario`]),
+    /// recording into `registry` with any combination of [`Observers`].
+    pub fn replay_cloud(
         &self,
         scenario: &Scenario,
         registry: &Registry,
         observers: Observers<'_>,
     ) -> (WeekReport, Option<LifecycleReport>) {
-        let (report, mut lifecycle) = XuanfengCloud::replay_observed(
+        let (report, lifecycle) = XuanfengCloud::replay_observed(
             &self.catalog,
             &self.population,
             &self.workload,
-            self.scenario_cloud_config(scenario),
+            CloudConfig::for_scenario(self.scale, scenario),
             &self.rngs,
             registry,
             observers,
         );
-        if let Some(lifecycle) = &mut lifecycle {
-            lifecycle.set_context(scenario.scheduler.name(), &scenario.name);
-        }
-        (report, lifecycle)
+        (report, stamped(lifecycle, scenario))
     }
 
-    /// Replay the week under a scenario while recording the virtual-time
-    /// metric series at the scenario's cadence
-    /// (`telemetry.series_interval_s`, default one sim-hour). The
-    /// returned snapshot's last sample equals the end-of-run metric
-    /// state, and its bytes are independent of scheduler and job count.
-    pub fn replay_cloud_series(
+    /// Run the §5.1 smart-AP benchmark over `n` sampled requests (Figs
+    /// 13–14, §5.2 failure taxonomy) on the scenario's AP fleet, under its
+    /// fault plan.
+    pub fn replay_smart_aps(
         &self,
+        n: usize,
         scenario: &Scenario,
         registry: &Registry,
-    ) -> (WeekReport, SeriesSnapshot) {
-        let series = SeriesRecorder::new(scenario.series_interval_ms());
-        let observers = Observers { series: Some(series.clone()), ..Observers::default() };
-        let (report, _) = self.replay_cloud_observed(scenario, registry, observers);
-        (report, series.snapshot())
-    }
-
-    /// Replay the week under a scenario with the per-handler wall
-    /// profiler attached; the measured breakdown lands in `registry`'s
-    /// wall section (`prof.*`) for [`odx_telemetry::rows_from_walls`].
-    pub fn replay_cloud_profiled(&self, scenario: &Scenario, registry: &Registry) -> WeekReport {
-        let observers = Observers { profile: true, ..Observers::default() };
-        self.replay_cloud_observed(scenario, registry, observers).0
-    }
-
-    /// Run the §5.1 benchmark under a scenario with lifecycle tracing.
-    pub fn replay_smart_aps_traced(
-        &self,
-        n: usize,
-        scenario: &Scenario,
-        trace: &TraceConfig,
-    ) -> (ApBenchReport, LifecycleReport) {
-        SmartApBenchmark::replay_fleet_traced(
+        observers: Observers<'_>,
+    ) -> (ApBenchReport, Option<LifecycleReport>) {
+        let (report, lifecycle) = SmartApBenchmark::replay_observed(
             &self.benchmark_sample(n),
             &scenario.ap_fleet,
+            &scenario.faults,
             &self.rngs.child("smartap"),
-            trace,
-        )
+            registry,
+            observers,
+        );
+        (report, stamped(lifecycle, scenario))
     }
 
-    /// Run the §6.2 evaluation under a scenario with lifecycle tracing.
-    pub fn replay_odr_traced(
+    /// Run the §6.2 ODR evaluation over `n` sampled requests (Figs 16–17)
+    /// with the scenario's backend config, AP fleet and fault plan.
+    pub fn replay_odr(
         &self,
         n: usize,
         scenario: &Scenario,
-        trace: &TraceConfig,
-    ) -> (OdrEvalReport, LifecycleReport) {
-        OdrReplay::for_scenario(scenario).run_traced(
+        registry: &Registry,
+        observers: Observers<'_>,
+    ) -> (OdrEvalReport, Option<LifecycleReport>) {
+        let (report, lifecycle) = OdrReplay::for_scenario(scenario).replay_observed(
             &self.eval_sample(n),
             &self.rngs.child("odr"),
-            trace,
-        )
+            registry,
+            observers,
+        );
+        (report, stamped(lifecycle, scenario))
     }
 
     /// Draw the §5.1 sampled workload (`n` Unicom requests with recorded
@@ -228,66 +179,12 @@ impl Study {
         let mut rng = self.rngs.stream("eval-sample");
         sample_eval_workload(&self.workload, &self.catalog, &self.population, n, &mut rng)
     }
+}
 
-    /// Run the §5.1 smart-AP benchmark over `n` sampled requests
-    /// (Figs 13–14, §5.2 failure taxonomy).
-    pub fn replay_smart_aps(&self, n: usize) -> ApBenchReport {
-        SmartApBenchmark::replay(&self.benchmark_sample(n), &self.rngs.child("smartap"))
-    }
-
-    /// Run the §5.1 benchmark over a scenario's AP fleet (e.g. `usb3-aps`),
-    /// under the scenario's fault plan. Zero fault intensity — every
-    /// preset's default — replays byte-identically to the plain fleet.
-    pub fn replay_smart_aps_scenario(&self, n: usize, scenario: &Scenario) -> ApBenchReport {
-        SmartApBenchmark::replay_fleet_faulted(
-            &self.benchmark_sample(n),
-            &scenario.ap_fleet,
-            &self.rngs.child("smartap"),
-            &scenario.faults,
-        )
-    }
-
-    /// Run the §5.1 benchmark under a scenario while recording the
-    /// `ap.*` virtual-time series at the scenario's cadence.
-    pub fn replay_smart_aps_series(
-        &self,
-        n: usize,
-        scenario: &Scenario,
-        registry: &Registry,
-    ) -> (ApBenchReport, SeriesSnapshot) {
-        SmartApBenchmark::replay_fleet_series(
-            &self.benchmark_sample(n),
-            &scenario.ap_fleet,
-            &self.rngs.child("smartap"),
-            registry,
-            scenario.series_interval_ms(),
-        )
-    }
-
-    /// Run the §6.2 evaluation under a scenario while recording the
-    /// `odr.*` virtual-time series at the scenario's cadence.
-    pub fn replay_odr_series(
-        &self,
-        n: usize,
-        scenario: &Scenario,
-        registry: &Registry,
-    ) -> (OdrEvalReport, SeriesSnapshot) {
-        OdrReplay::for_scenario(scenario).run_series(
-            &self.eval_sample(n),
-            &self.rngs.child("odr"),
-            registry,
-            scenario.series_interval_ms(),
-        )
-    }
-
-    /// Run the §6.2 ODR evaluation over `n` sampled requests
-    /// (Figs 16–17).
-    pub fn replay_odr(&self, n: usize) -> OdrEvalReport {
-        OdrReplay::default().run(&self.eval_sample(n), &self.rngs.child("odr"))
-    }
-
-    /// Run the §6.2 evaluation under a scenario (backend config + AP fleet).
-    pub fn replay_odr_scenario(&self, n: usize, scenario: &Scenario) -> OdrEvalReport {
-        OdrReplay::for_scenario(scenario).run(&self.eval_sample(n), &self.rngs.child("odr"))
-    }
+/// Stamp a lifecycle report with the scenario it ran under.
+fn stamped(lifecycle: Option<LifecycleReport>, scenario: &Scenario) -> Option<LifecycleReport> {
+    lifecycle.map(|mut lifecycle| {
+        lifecycle.set_context(scenario.scheduler.name(), &scenario.name);
+        lifecycle
+    })
 }

@@ -26,10 +26,9 @@ use std::time::Instant;
 
 use odx_backend::Scenario;
 use odx_cache::PolicyKind;
-use odx_cloud::{Observers, XuanfengCloud};
 use odx_faults::RetryKind;
 use odx_telemetry::{
-    Attribution, Registry, SeriesRecorder, SeriesSet, SeriesSnapshot, TraceConfig,
+    Attribution, Observers, Registry, SeriesRecorder, SeriesSet, SeriesSnapshot, TraceConfig,
 };
 
 use crate::Study;
@@ -125,19 +124,10 @@ impl SweepCell {
         let start = Instant::now();
         let registry = Registry::new();
         let study = Study::generate_scenario(spec.scale, seed, scenario);
-        let cfg = study.scenario_cloud_config(scenario);
         let series = spec.series_interval_ms.map(SeriesRecorder::new);
         let observers =
             Observers { trace: spec.trace.as_ref(), series: series.clone(), profile: false };
-        let (report, lifecycle) = XuanfengCloud::replay_observed(
-            &study.catalog,
-            &study.population,
-            &study.workload,
-            cfg,
-            &study.rngs,
-            &registry,
-            observers,
-        );
+        let (report, lifecycle) = study.replay_cloud(scenario, &registry, observers);
         let attribution = lifecycle.map(|lifecycle| lifecycle.attribution());
         let sim_events = registry.snapshot().counters.get("sim.events").copied().unwrap_or(0);
         SweepCell {

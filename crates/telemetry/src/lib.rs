@@ -58,6 +58,26 @@ pub use trace::{SpanEvent, SpanKind, TraceSnapshot, Tracer};
 
 use std::sync::OnceLock;
 
+/// Optional observers for a replay: any combination of per-task
+/// lifecycle tracing, virtual-time series recording, and wall profiling.
+/// [`Default`] is the unobserved replay. Every backend takes the same
+/// bundle, and observing a run never changes its report or its
+/// deterministic registry snapshot.
+#[derive(Default)]
+pub struct Observers<'a> {
+    /// Per-task lifecycle tracing (`None` = off).
+    pub trace: Option<&'a TraceConfig>,
+    /// Virtual-time series recording: the replay registers its headline
+    /// counters on the recorder, samples them on its virtual clock, and
+    /// finishes the series at the end-of-run clock.
+    pub series: Option<SeriesRecorder>,
+    /// Wall profiling: per-handler and scheduler-pop `Instant` buckets,
+    /// flushed into the registry's wall section. Only the DES-driven cloud
+    /// week has handlers to time; the sequential smart-AP and ODR
+    /// harnesses ignore it.
+    pub profile: bool,
+}
+
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
 /// The process-wide registry.

@@ -9,6 +9,7 @@
 //! 4.08 M-task week (a few minutes and a few GB of RAM).
 
 use odx::net::kbps_to_gbps;
+use odx::telemetry::{Observers, Registry};
 use odx::Study;
 
 fn main() {
@@ -16,7 +17,8 @@ fn main() {
         std::env::args().nth(1).map(|s| s.parse().expect("scale must be a number")).unwrap_or(0.05);
     println!("replaying one week on the Xuanfeng model at scale {scale} …");
     let study = Study::generate(scale, 2015);
-    let report = study.replay_cloud();
+    let scenario = Study::paper_default();
+    let (report, _) = study.replay_cloud(&scenario, &Registry::new(), Observers::default());
     let c = &report.counters;
 
     println!("\n— headline (§2.1 / §4.1) —");

@@ -5,6 +5,7 @@
 //! cargo run --release -p odx --example odr_replay -- [requests]
 //! ```
 
+use odx::telemetry::{Observers, Registry};
 use odx::Study;
 
 fn main() {
@@ -13,8 +14,9 @@ fn main() {
 
     println!("replaying {n} sampled requests through ODR …");
     let study = Study::generate(0.05, 623);
-    let cloud = study.replay_cloud();
-    let eval = study.replay_odr(n);
+    let scenario = Study::paper_default();
+    let (cloud, _) = study.replay_cloud(&scenario, &Registry::new(), Observers::default());
+    let (eval, _) = study.replay_odr(n, &scenario, &Registry::new(), Observers::default());
 
     println!("\n— Fig 16: the four bottlenecks, baseline vs ODR —");
     println!(

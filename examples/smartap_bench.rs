@@ -7,6 +7,7 @@
 //! ```
 
 use odx::smartap::{table2, ApModel};
+use odx::telemetry::{Observers, Registry};
 use odx::Study;
 
 fn main() {
@@ -15,7 +16,8 @@ fn main() {
 
     println!("sampling {n} Unicom requests and replaying on three ADSL lines …");
     let study = Study::generate(0.05, 522);
-    let report = study.replay_smart_aps(n);
+    let scenario = Study::paper_default();
+    let (report, _) = study.replay_smart_aps(n, &scenario, &Registry::new(), Observers::default());
 
     println!("\n— Fig 13: pre-downloading speeds (KBps) —");
     let speed = report.speed_ecdf().summary().unwrap();

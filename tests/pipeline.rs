@@ -4,14 +4,31 @@
 //! generation, cloud week replay, smart-AP benchmark, ODR evaluation — and
 //! asserts the comparative story end to end.
 
+use odx::backend::ApBenchReport;
+use odx::cloud::WeekReport;
+use odx::odr::replay::OdrEvalReport;
+use odx::telemetry::{Observers, Registry};
 use odx::Study;
+
+// Unobserved `paper-default` runs into a fresh registry.
+fn replay_cloud(study: &Study) -> WeekReport {
+    study.replay_cloud(&Study::paper_default(), &Registry::new(), Observers::default()).0
+}
+
+fn replay_smart_aps(study: &Study, n: usize) -> ApBenchReport {
+    study.replay_smart_aps(n, &Study::paper_default(), &Registry::new(), Observers::default()).0
+}
+
+fn replay_odr(study: &Study, n: usize) -> OdrEvalReport {
+    study.replay_odr(n, &Study::paper_default(), &Registry::new(), Observers::default()).0
+}
 
 #[test]
 fn odr_beats_both_baselines_on_their_own_bottlenecks() {
     let study = Study::generate(0.02, 31_415);
-    let cloud = study.replay_cloud();
-    let aps = study.replay_smart_aps(3000);
-    let odr = study.replay_odr(3000);
+    let cloud = replay_cloud(&study);
+    let aps = replay_smart_aps(&study, 3000);
+    let odr = replay_odr(&study, 3000);
 
     // Bottleneck 1: ODR cuts the impeded-fetch ratio sharply (28 % → 9 %).
     let base_impeded = cloud.impeded_ratio();
@@ -59,8 +76,8 @@ fn cloud_and_ap_predownload_speeds_are_close_in_shape() {
     // §5.2 / Fig 13: the AP speed CDF tracks the cloud's because both use
     // the same sources with similar tooling.
     let study = Study::generate(0.02, 27_182);
-    let cloud = study.replay_cloud();
-    let aps = study.replay_smart_aps(3000);
+    let cloud = replay_cloud(&study);
+    let aps = replay_smart_aps(&study, 3000);
 
     let cloud_speed = cloud.predownload_speed_ecdf();
     let ap_speed = aps.speed_ecdf();

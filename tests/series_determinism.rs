@@ -7,12 +7,22 @@
 use odx::backend::Scenario;
 use odx::sim::SchedulerKind;
 use odx::sweep::{run_sweep, SweepSpec};
-use odx::telemetry::{MetricSeries, Registry, SeriesSet};
+use odx::telemetry::{
+    MetricSeries, Observers, Registry, SeriesRecorder, SeriesSet, SeriesSnapshot,
+};
 use odx::Study;
 use proptest::prelude::*;
 
 fn preset(name: &str) -> Scenario {
     Study::scenarios().get(name).unwrap().clone()
+}
+
+/// Replay the week recording its series at the scenario's cadence.
+fn series(study: &Study, scenario: &Scenario, registry: &Registry) -> SeriesSnapshot {
+    let recorder = SeriesRecorder::new(scenario.series_interval_ms());
+    let observers = Observers { series: Some(recorder.clone()), ..Observers::default() };
+    study.replay_cloud(scenario, registry, observers);
+    recorder.snapshot()
 }
 
 proptest! {
@@ -40,8 +50,7 @@ proptest! {
         for scenario in &scenarios {
             for &cell_seed in &seeds {
                 let study = Study::generate_scenario(0.0005, cell_seed, scenario);
-                let (_, snapshot) = study.replay_cloud_series(scenario, &Registry::new());
-                manual.insert(&scenario.name, cell_seed, snapshot);
+                manual.insert(&scenario.name, cell_seed, series(&study, scenario, &Registry::new()));
             }
         }
         prop_assert_eq!(merged.to_json(), manual.to_json());
@@ -56,7 +65,7 @@ proptest! {
         let scenario = preset("paper-default");
         let study = Study::generate_scenario(0.0005, seed, &scenario);
         let registry = Registry::new();
-        let (_, series) = study.replay_cloud_series(&scenario, &registry);
+        let series = series(&study, &scenario, &registry);
         let snap = registry.snapshot();
         prop_assert!(!series.series.is_empty(), "the cloud tracks its headline metrics");
         for (name, metric) in &series.series {
@@ -83,12 +92,12 @@ proptest! {
         let mut wheel = preset("paper-default");
         wheel.scheduler = SchedulerKind::Wheel;
         let study = Study::generate_scenario(0.0005, seed, &heap);
-        let (_, a) = study.replay_cloud_series(&heap, &Registry::new());
-        let (_, b) = study.replay_cloud_series(&wheel, &Registry::new());
+        let a = series(&study, &heap, &Registry::new());
+        let b = series(&study, &wheel, &Registry::new());
         prop_assert_eq!(a.to_json(), b.to_json(), "scheduler must not leak into the series");
         prop_assert_eq!(a.to_csv(), b.to_csv());
         let rerun = Study::generate_scenario(0.0005, seed, &heap);
-        let (_, c) = rerun.replay_cloud_series(&heap, &Registry::new());
+        let c = series(&rerun, &heap, &Registry::new());
         prop_assert_eq!(a.to_json(), c.to_json(), "same-seed reruns must be byte-identical");
     }
 }

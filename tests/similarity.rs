@@ -1,8 +1,25 @@
 //! Distribution-level cross-system checks using the KS machinery.
 
+use odx::backend::ApBenchReport;
+use odx::cloud::WeekReport;
+use odx::odr::replay::OdrEvalReport;
 use odx::stats::ks::ks_distance;
 use odx::stats::Ecdf;
+use odx::telemetry::{Observers, Registry};
 use odx::Study;
+
+// Unobserved `paper-default` runs into a fresh registry.
+fn replay_cloud(study: &Study) -> WeekReport {
+    study.replay_cloud(&Study::paper_default(), &Registry::new(), Observers::default()).0
+}
+
+fn replay_smart_aps(study: &Study, n: usize) -> ApBenchReport {
+    study.replay_smart_aps(n, &Study::paper_default(), &Registry::new(), Observers::default()).0
+}
+
+fn replay_odr(study: &Study, n: usize) -> OdrEvalReport {
+    study.replay_odr(n, &Study::paper_default(), &Registry::new(), Observers::default()).0
+}
 
 #[test]
 fn cloud_and_ap_predownload_speed_cdfs_are_close() {
@@ -12,8 +29,8 @@ fn cloud_and_ap_predownload_speed_cdfs_are_close() {
     // (successful) parts of both distributions — the failure masses differ
     // by construction (the cloud only pre-downloads cache misses).
     let study = Study::generate(0.02, 404);
-    let cloud = study.replay_cloud();
-    let aps = study.replay_smart_aps(4000);
+    let cloud = replay_cloud(&study);
+    let aps = replay_smart_aps(&study, 4000);
 
     let cloud_speeds: Vec<f64> = cloud
         .predownloads
@@ -34,8 +51,8 @@ fn odr_fetch_cdf_dominates_cloud_fetch_cdf_through_the_body() {
     // through the distribution body (first-order-ish dominance between the
     // 20th and 80th percentiles).
     let study = Study::generate(0.02, 405);
-    let cloud = study.replay_cloud().fetch_speed_ecdf();
-    let odr = study.replay_odr(4000).fetch_speed_ecdf();
+    let cloud = replay_cloud(&study).fetch_speed_ecdf();
+    let odr = replay_odr(&study, 4000).fetch_speed_ecdf();
     for q in [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8] {
         let c = cloud.quantile(q).unwrap();
         let o = odr.quantile(q).unwrap();
@@ -50,7 +67,7 @@ fn streaming_viability_matches_the_impeded_complement() {
     // fetches that can view-as-download equals 1 − impeded ratio.
     use odx::cloud::streaming::{streamable_fraction, PlaybackConfig};
     let study = Study::generate(0.01, 406);
-    let report = study.replay_cloud();
+    let report = replay_cloud(&study);
     let speeds: Vec<f64> = report.fetches.iter().map(|f| f.avg_kbps).collect();
     let streamable = streamable_fraction(&speeds, &PlaybackConfig::default());
     assert!((streamable - (1.0 - report.impeded_ratio())).abs() < 1e-9);

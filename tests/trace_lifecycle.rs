@@ -3,15 +3,21 @@
 //! waterfall's timed stages exactly tile every task's completion time.
 
 use odx::sweep::{run_sweep, SweepSpec};
-use odx::telemetry::{validate_chrome_trace, Registry, Stage, TraceConfig};
+use odx::telemetry::{
+    validate_chrome_trace, LifecycleReport, Observers, Registry, Stage, TraceConfig,
+};
 use odx::Study;
 use proptest::prelude::*;
 
+/// Replay the `paper-default` week with lifecycle tracing.
+fn traced(study: &Study, trace: &TraceConfig) -> LifecycleReport {
+    let observers = Observers { trace: Some(trace), ..Observers::default() };
+    let (_, lifecycle) = study.replay_cloud(&Study::paper_default(), &Registry::new(), observers);
+    lifecycle.expect("tracing was requested")
+}
+
 fn traced_run(seed: u64, trace: &TraceConfig) -> (String, String, String) {
-    let study = Study::generate(0.0005, seed);
-    let scenario = Study::scenarios().get("paper-default").unwrap().clone();
-    let registry = Registry::new();
-    let (_, lifecycle) = study.replay_cloud_traced(&scenario, &registry, trace);
+    let lifecycle = traced(&Study::generate(0.0005, seed), trace);
     (
         lifecycle.traces.to_chrome_json(),
         lifecycle.attribution().to_json(),
@@ -43,13 +49,8 @@ proptest! {
     #[test]
     fn sampling_drops_whole_tasks_only(seed in 0u64..50_000, n in 2u64..9) {
         let study = Study::generate(0.0005, seed);
-        let scenario = Study::scenarios().get("paper-default").unwrap().clone();
-        let full = study
-            .replay_cloud_traced(&scenario, &Registry::new(), &TraceConfig::full())
-            .1;
-        let sampled = study
-            .replay_cloud_traced(&scenario, &Registry::new(), &TraceConfig::sampled(n))
-            .1;
+        let full = traced(&study, &TraceConfig::full());
+        let sampled = traced(&study, &TraceConfig::sampled(n));
         prop_assert!(!sampled.traces.traces.is_empty());
         for trace in &sampled.traces.traces {
             prop_assert_eq!(trace.task % n, 0, "task {} escaped the 1/{} filter", trace.task, n);
@@ -67,10 +68,7 @@ proptest! {
 /// so the `repro attribute` shares always add to 100 %.
 #[test]
 fn waterfall_stage_sums_equal_completion_times() {
-    let study = Study::generate(0.001, 2015);
-    let scenario = Study::scenarios().get("paper-default").unwrap().clone();
-    let (_, lifecycle) =
-        study.replay_cloud_traced(&scenario, &Registry::new(), &TraceConfig::full());
+    let lifecycle = traced(&Study::generate(0.001, 2015), &TraceConfig::full());
     let attribution = lifecycle.attribution();
     assert!(attribution.tasks > 0);
     assert!(attribution.total_completion_ms > 0);

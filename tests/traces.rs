@@ -1,14 +1,21 @@
 //! Trace round-tripping: the replay's records serialize to the paper's
 //! three trace schemas and read back losslessly.
 
+use odx::cloud::WeekReport;
+use odx::telemetry::{Observers, Registry};
 use odx::trace::io::{read_tsv, write_tsv};
 use odx::trace::records::{FetchRecord, PredownloadRecord, WorkloadRecord};
 use odx::Study;
 
+// Unobserved `paper-default` runs into a fresh registry.
+fn replay_cloud(study: &Study) -> WeekReport {
+    study.replay_cloud(&Study::paper_default(), &Registry::new(), Observers::default()).0
+}
+
 #[test]
 fn predownload_and_fetch_traces_round_trip_through_tsv() {
     let study = Study::generate(0.002, 555);
-    let report = study.replay_cloud();
+    let report = replay_cloud(&study);
 
     // Pre-downloading trace.
     let mut buf = Vec::new();
@@ -69,7 +76,7 @@ fn trace_statistics_survive_serialization() {
     // as from the in-memory records — the property an artifact-evaluation
     // reviewer would check.
     let study = Study::generate(0.002, 557);
-    let report = study.replay_cloud();
+    let report = replay_cloud(&study);
     let direct = report.fetch_speed_ecdf().median().unwrap();
 
     let mut buf = Vec::new();
