@@ -98,6 +98,18 @@ cargo run --release -p odx-bench --bin repro -- sweep \
 diff "$SWEEP_TMP/heap/sweep.json" "$SWEEP_TMP/wheel/sweep.json"
 diff "$SWEEP_TMP/heap/sweep.csv" "$SWEEP_TMP/wheel/sweep.csv"
 echo "scheduler snapshots identical"
+# Scale 0.002 stays below one 65,536-arrival accounting window; at 0.02
+# (~80 k arrivals) the sim.queue_depth series crosses a window boundary.
+cargo run --release -p odx-bench --bin repro -- series \
+  --scenario paper-default --seeds 1 --jobs 1 --scale 0.02 \
+  --out "$SWEEP_TMP/series-heap" > /dev/null
+cargo run --release -p odx-bench --bin repro -- series \
+  --scenario paper-default --seeds 1 --jobs 1 --scale 0.02 \
+  --set sim.scheduler=wheel --out "$SWEEP_TMP/series-wheel" > /dev/null
+diff "$SWEEP_TMP/series-heap/series.json" "$SWEEP_TMP/series-wheel/series.json"
+diff "$SWEEP_TMP/series-heap/series.csv" "$SWEEP_TMP/series-wheel/series.csv"
+diff "$SWEEP_TMP/series-heap/series.json" tests/golden/series_paper_default_s2015_scale002.json
+echo "series above one arrival window identical on both schedulers and to the golden"
 
 echo "== cache-compare smoke: all policies x 2 seeds, --jobs invariant =="
 cargo run --release -p odx-bench --bin repro -- cache-compare \

@@ -1374,7 +1374,7 @@ fn series_cmd(opts: &Options) {
 /// `profile`: replay the cloud week with the per-handler wall profiler
 /// attached and print the breakdown — wall seconds, events, and
 /// percent-of-replay per event-kind handler plus scheduler-pop cost; the
-/// `other` residual (chunk injection, loop overhead) makes the shares sum
+/// `other` residual (series sampling, loop overhead) makes the shares sum
 /// to exactly 100 % of replay wall. Everything here is wall-clock and
 /// therefore nondeterministic; nothing lands in deterministic exports.
 fn profile_cmd(opts: &Options) {

@@ -8,9 +8,7 @@
 use odx_faults::{FaultDomain, FaultKind, FaultPlan, FaultWindow, RetryPolicy};
 use odx_net::{Isp, HD_THRESHOLD_KBPS};
 use odx_p2p::FailureCause;
-use odx_sim::{
-    ArrivalSource, Ctx, RngFactory, Scheduler, SimDuration, SimRng, SimTime, Simulation, World,
-};
+use odx_sim::{Ctx, RngFactory, SimDuration, SimRng, SimTime, Simulation, World};
 use odx_stats::dist::u01;
 use odx_stats::{BinnedSeries, Ecdf};
 use odx_telemetry::{
@@ -18,7 +16,7 @@ use odx_telemetry::{
     SeriesRecorder, Stage, TaskEnd,
 };
 use odx_trace::records::{FetchRecord, PredownloadRecord};
-use odx_trace::{Catalog, PopularityClass, Population, Request, Workload};
+use odx_trace::{Catalog, PopularityClass, Population, Workload};
 
 use odx_cache::InstrumentedCache;
 
@@ -250,38 +248,6 @@ pub enum Ev {
 
 /// Sentinel terminating the per-file waiter lists in the task arena.
 const NO_WAITER: u32 = u32::MAX;
-
-/// How many arrivals [`ArrivalChunks`] schedules per injection. Small
-/// enough that the future-event list holds one chunk plus in-flight
-/// follow-ups instead of the whole 4 M-request week, large enough that
-/// chunk-boundary bookkeeping is noise.
-const ARRIVAL_CHUNK: usize = 65_536;
-
-/// Streams the workload's arrivals into the scheduler chunk by chunk.
-///
-/// Arrivals keep the sequence numbers `0..N` they would have drawn under
-/// eager up-front scheduling ([`Simulation::reserve_seqs`] moves follow-up
-/// seqs past `N`), and [`Simulation::run_streamed`] injects a chunk before
-/// any event at or past its start time fires — so the replay's pop order
-/// (and therefore every export) is byte-identical to the eager scheme.
-struct ArrivalChunks<'a> {
-    requests: &'a [Request],
-    next: usize,
-}
-
-impl ArrivalSource<Ev> for ArrivalChunks<'_> {
-    fn peek(&mut self) -> Option<SimTime> {
-        self.requests.get(self.next).map(|r| r.at)
-    }
-
-    fn inject(&mut self, sched: &mut Scheduler<Ev>) {
-        let end = (self.next + ARRIVAL_CHUNK).min(self.requests.len());
-        for i in self.next..end {
-            sched.schedule_with_seq(self.requests[i].at, i as u64, Ev::Arrive(i as u32));
-        }
-        self.next = end;
-    }
-}
 
 /// Cached telemetry handles for the cloud replay. Handles are resolved
 /// once at world construction so the per-event cost is an atomic add,
@@ -664,8 +630,8 @@ impl<'a> XuanfengCloud<'a> {
         world.lifecycle = observers.trace.map(Lifecycle::new);
         let flight = world.lifecycle.as_ref().map(|lifecycle| lifecycle.flight.clone());
         // Snapshot the compiled fault windows before the world moves into
-        // the simulation; they are scheduled up front after the arrival
-        // seq reservation, in domain-then-start order, so every window's
+        // the simulation; they are scheduled up front, before any
+        // follow-up, in domain-then-start order, so every window's
         // `(time, seq)` is a pure function of the plan. An empty plan
         // schedules nothing and leaves seq allocation untouched.
         let fault_windows: Vec<FaultWindow> = FaultDomain::ALL
@@ -676,10 +642,10 @@ impl<'a> XuanfengCloud<'a> {
         if let Some(series) = &observers.series {
             register_cloud_series(series, registry);
         }
-        // Arrivals stream in chunk by chunk, so the queue only ever holds
-        // one chunk plus in-flight follow-ups — not the whole week. The
-        // slab still grows on demand if follow-ups pile past the chunk.
-        let capacity = workload.len().min(2 * ARRIVAL_CHUNK) + 16;
+        // Arrivals never enter the scheduler, which holds only fault
+        // windows and in-flight follow-ups; the slab grows on demand if
+        // those pile past this presize.
+        let capacity = workload.len().min(2 * 65_536) + 16;
         let mut sim = Simulation::with_scheduler(world, scheduler, capacity);
         sim.attach_telemetry(registry.clone());
         if let Some(flight) = flight {
@@ -691,17 +657,15 @@ impl<'a> XuanfengCloud<'a> {
         if observers.profile {
             sim.attach_profiler();
         }
-        // Arrivals keep seqs 0..N; follow-ups scheduled by handlers draw
-        // from N up, exactly as if every arrival were scheduled up front.
-        sim.reserve_seqs(workload.len() as u64);
         for window in &fault_windows {
             sim.schedule_at(
                 SimTime::from_millis(window.start_ms),
                 Ev::FaultWindow { kind: window.kind },
             );
         }
-        let mut arrivals = ArrivalChunks { requests: workload.requests(), next: 0 };
-        sim.run_streamed(&mut arrivals);
+        // Arrivals win same-time ties against everything scheduled, exactly
+        // as if each had been scheduled up front ahead of the fault windows.
+        sim.run_merged(workload.requests(), |r| r.at, |i| Ev::Arrive(i as u32));
         let final_now_ms = sim.now().as_millis();
         let mut world = sim.into_world();
         world.metrics.drain(&mut world.hot);

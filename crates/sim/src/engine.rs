@@ -83,23 +83,14 @@ impl<E> Ctx<'_, E> {
     }
 }
 
-/// A lazily injected stream of externally scheduled events (arrival
-/// chunks). [`Simulation::run_streamed`] pulls from the source just in
-/// time, so a full-scale replay never holds its whole workload in the
-/// future-event list at once.
-pub trait ArrivalSource<E> {
-    /// Earliest firing time of the next pending chunk, or `None` when the
-    /// source is exhausted.
-    fn peek(&mut self) -> Option<SimTime>;
-
-    /// Schedule the next chunk into `sched`. Called only after [`peek`]
-    /// returned `Some`. Implementations that must preserve same-timestamp
-    /// tie-breaks against already-scheduled follow-ups should use
-    /// [`Scheduler::reserve_seqs`] + [`Scheduler::schedule_with_seq`].
-    ///
-    /// [`peek`]: ArrivalSource::peek
-    fn inject(&mut self, sched: &mut Scheduler<E>);
-}
+/// The accounting window behind `sim.queue_depth` in
+/// [`Simulation::run_merged`]. Arrivals never enter the scheduler, but the
+/// gauge still counts the ones an arrival-streaming loop would have
+/// admitted: whole windows of this many sorted arrivals, each admitted
+/// once its first arrival's time is at or before the head of the
+/// future-event list. Keeping that rule keeps the depth series of every
+/// replay where it was; nothing else depends on the window.
+const DEPTH_WINDOW: usize = 65_536;
 
 /// An attached series recorder plus its cached next-due time, so the hot
 /// loop's due check is one comparison instead of a mutex round-trip.
@@ -227,14 +218,6 @@ impl<W: World> Simulation<W> {
         self.queue.kind()
     }
 
-    /// Reserve sequence numbers `0..n` for the setup pass, so events
-    /// injected later (e.g. by an [`ArrivalSource`]) with explicit
-    /// sequence numbers below `n` keep winning same-timestamp ties
-    /// against handler-scheduled follow-ups.
-    pub fn reserve_seqs(&mut self, n: u64) {
-        self.queue.reserve_seqs(n);
-    }
-
     /// Schedule an event at an absolute time (setup entry point).
     pub fn schedule_at(&mut self, at: SimTime, event: W::Event) -> EventId {
         self.queue.schedule(at.max(self.now), event)
@@ -266,63 +249,59 @@ impl<W: World> Simulation<W> {
     ///
     /// [`step`]: Simulation::step
     fn step_quiet(&mut self) -> bool {
-        if self.prof.is_some() {
-            return self.step_profiled();
-        }
+        let pop_start = self.prof.as_ref().map(|_| Instant::now());
         match self.queue.pop() {
             Some((time, event)) => {
-                debug_assert!(time >= self.now, "event queue must be monotone");
-                self.now = time;
-                if let Some(flight) = &self.flight {
-                    flight.record(time.as_millis(), self.world.event_label(&event));
-                }
-                let mut ctx = Ctx { now: self.now, queue: &mut self.queue };
-                self.world.handle(&mut ctx, event);
-                self.processed += 1;
+                self.dispatch(time, event, pop_start);
                 true
             }
-            None => false,
+            None => {
+                if let (Some(start), Some(prof)) = (pop_start, &mut self.prof) {
+                    prof.note_pop(start.elapsed().as_secs_f64());
+                }
+                false
+            }
         }
     }
 
-    /// [`step_quiet`] with the attached profiler timing the pop and the
-    /// handler dispatch (three `Instant::now` reads per event; buckets
-    /// are plain local adds, flushed to the wall section per run).
-    ///
-    /// [`step_quiet`]: Simulation::step_quiet
-    fn step_profiled(&mut self) -> bool {
-        let before_pop = Instant::now();
-        let popped = self.queue.pop();
-        let after_pop = Instant::now();
-        let prof = self.prof.as_mut().expect("step_profiled requires a profiler");
-        prof.note_pop((after_pop - before_pop).as_secs_f64());
-        match popped {
-            Some((time, event)) => {
-                debug_assert!(time >= self.now, "event queue must be monotone");
-                self.now = time;
-                let label = self.world.event_label(&event);
-                if let Some(flight) = &self.flight {
-                    flight.record(time.as_millis(), label);
-                }
-                let mut ctx = Ctx { now: self.now, queue: &mut self.queue };
-                self.world.handle(&mut ctx, event);
-                self.processed += 1;
-                let after_handle = Instant::now();
-                self.prof
-                    .as_mut()
-                    .expect("step_profiled requires a profiler")
-                    .note_handler(label, (after_handle - after_pop).as_secs_f64());
-                true
+    /// Fire `event` at `time`: advance the clock, record the event in an
+    /// attached flight recorder, run its handler. `pop_start` is set iff
+    /// the profiler is on and marks when choosing this event began; the
+    /// choice and the handler are then timed (three `Instant::now` reads
+    /// per event; buckets are plain local adds, flushed per run).
+    fn dispatch(&mut self, time: SimTime, event: W::Event, pop_start: Option<Instant>) {
+        debug_assert!(time >= self.now, "event queue must be monotone");
+        self.now = time;
+        let Some(pop_start) = pop_start else {
+            if let Some(flight) = &self.flight {
+                flight.record(time.as_millis(), self.world.event_label(&event));
             }
-            None => false,
+            let mut ctx = Ctx { now: time, queue: &mut self.queue };
+            self.world.handle(&mut ctx, event);
+            self.processed += 1;
+            return;
+        };
+        let after_pop = Instant::now();
+        let label = self.world.event_label(&event);
+        if let Some(flight) = &self.flight {
+            flight.record(time.as_millis(), label);
         }
+        let mut ctx = Ctx { now: time, queue: &mut self.queue };
+        self.world.handle(&mut ctx, event);
+        self.processed += 1;
+        let after_handle = Instant::now();
+        let prof = self.prof.as_mut().expect("a pop start implies a profiler");
+        prof.note_pop((after_pop - pop_start).as_secs_f64());
+        prof.note_handler(label, (after_handle - after_pop).as_secs_f64());
     }
 
     /// Take one series sample per due grid point strictly before
     /// `next_ms` (the next event's virtual time): flush the engine's
     /// batched tallies, let the world drain its own
     /// ([`World::pre_sample`]), then read every tracked metric.
-    fn sample_due_before(&mut self, next_ms: u64) {
+    /// `sim.queue_depth` reads the scheduler's live events plus
+    /// `admitted_arrivals` (see [`DEPTH_WINDOW`]).
+    fn sample_due_before(&mut self, next_ms: u64, admitted_arrivals: usize) {
         loop {
             let due = match &self.series {
                 Some(series) if series.next_due_ms < next_ms => series.next_due_ms,
@@ -332,7 +311,7 @@ impl<W: World> Simulation<W> {
                 if self.processed > self.flushed {
                     telemetry.events.add(self.processed - self.flushed);
                 }
-                telemetry.queue_depth.set(self.queue.len() as f64);
+                telemetry.queue_depth.set((self.queue.len() + admitted_arrivals) as f64);
                 self.flushed = self.processed;
             }
             self.world.pre_sample(due);
@@ -375,7 +354,7 @@ impl<W: World> Simulation<W> {
                 break;
             }
             if self.series.is_some() {
-                self.sample_due_before(t.as_millis());
+                self.sample_due_before(t.as_millis(), 0);
             }
             self.step_quiet();
         }
@@ -394,41 +373,80 @@ impl<W: World> Simulation<W> {
         self.run_until(SimTime::MAX)
     }
 
-    /// Run to completion while lazily admitting externally scheduled
-    /// events from `src`. A chunk is injected as soon as its earliest
-    /// firing time is ≤ the queue's head (or the queue is empty), so no
-    /// event at or past a chunk's start can fire before the chunk is in
-    /// the queue — the pop order is identical to scheduling everything up
-    /// front, but the future-event list only ever holds one chunk's worth
-    /// of arrivals plus in-flight follow-ups. Records the same single
-    /// `sim.run` span as [`run_until`].
+    /// Run to completion, dispatching the time-sorted `arrivals` alongside
+    /// the scheduler: arrival `i` fires as `arrive(i)` at `at(&arrivals[i])`
+    /// without ever entering the future-event list. Each step fires the
+    /// next arrival if its time is at or before the scheduler's head and
+    /// pops the scheduler otherwise, so arrivals win same-time ties in
+    /// index order — the `(time, seq)` order of scheduling every arrival
+    /// up front before anything else. Records the same single `sim.run`
+    /// span as [`run_until`]. Series samples of `sim.queue_depth` count
+    /// the scheduler's live events plus the arrivals a loop streaming them
+    /// into the scheduler would hold: windows of 65,536 sorted arrivals,
+    /// each admitted once its first time is at or before the head.
+    ///
+    /// # Panics
+    ///
+    /// If an arrival is earlier than the event fired before it (the
+    /// stream is not sorted by time, or starts behind the clock); the
+    /// message names the arrival's index.
     ///
     /// [`run_until`]: Simulation::run_until
-    pub fn run_streamed(&mut self, src: &mut impl ArrivalSource<W::Event>) -> u64 {
+    pub fn run_merged<A>(
+        &mut self,
+        arrivals: &[A],
+        at: impl Fn(&A) -> SimTime,
+        arrive: impl Fn(usize) -> W::Event,
+    ) -> u64 {
+        self.run_merged_windowed(arrivals, at, arrive, DEPTH_WINDOW)
+    }
+
+    /// [`run_merged`] with an explicit depth-accounting window.
+    ///
+    /// [`run_merged`]: Simulation::run_merged
+    fn run_merged_windowed<A>(
+        &mut self,
+        arrivals: &[A],
+        at: impl Fn(&A) -> SimTime,
+        arrive: impl Fn(usize) -> W::Event,
+        window: usize,
+    ) -> u64 {
         let before = self.processed;
         let run_start = self.prof.as_ref().map(|_| Instant::now());
         let span = self
             .telemetry
             .as_ref()
             .map(|t| t.registry.tracer().open("sim.run", self.now.as_millis()));
+        let mut next = 0;
         loop {
-            while let Some(t) = src.peek() {
-                if self.queue.peek_time().map_or(true, |head| t <= head) {
-                    src.inject(&mut self.queue);
-                } else {
-                    break;
-                }
+            let mut pop_start = self.prof.as_ref().map(|_| Instant::now());
+            let arrival_at = arrivals.get(next).map(&at);
+            let (time, is_arrival) = match (arrival_at, self.queue.peek_time()) {
+                (Some(a), Some(head)) if a > head => (head, false),
+                (Some(a), _) => (a, true),
+                (None, Some(head)) => (head, false),
+                (None, None) => break,
+            };
+            assert!(
+                !is_arrival || time >= self.now,
+                "arrival {next} at {} ms precedes the previous event at {} ms: \
+                 arrivals must be sorted by time",
+                time.as_millis(),
+                self.now.as_millis()
+            );
+            if self.series.as_ref().is_some_and(|s| s.next_due_ms < time.as_millis()) {
+                let admitted = admitted_arrivals(arrivals, &at, next, time, window);
+                self.sample_due_before(time.as_millis(), admitted);
+                // Sampling is not part of the choice: restart its timer.
+                pop_start = pop_start.map(|_| Instant::now());
             }
-            // Sample after injection settles: remaining chunks start at
-            // or after the head, so every due grid point < head is final.
-            if self.series.is_some() {
-                if let Some(head) = self.queue.peek_time() {
-                    self.sample_due_before(head.as_millis());
-                }
-            }
-            if !self.step_quiet() {
-                break;
-            }
+            let event = if is_arrival {
+                next += 1;
+                arrive(next - 1)
+            } else {
+                self.queue.pop().expect("the peeked head is live").1
+            };
+            self.dispatch(time, event, pop_start);
         }
         if let (Some(start), Some(prof)) = (run_start, &mut self.prof) {
             prof.note_run(start.elapsed().as_secs_f64());
@@ -441,31 +459,72 @@ impl<W: World> Simulation<W> {
     }
 }
 
+/// How many of `arrivals[next..]` an arrival-streaming loop would hold in
+/// its future-event list just before the event at `head` fires, admitting
+/// whole `window`s once their first arrival's time is at or before the
+/// head. The window holding `next` is in unless `next` starts it; later
+/// windows follow while their first time is `<= head`. Heads never
+/// decrease, so a window admitted earlier still passes this test: the
+/// count is a pure function of `next` and `head`.
+fn admitted_arrivals<A>(
+    arrivals: &[A],
+    at: impl Fn(&A) -> SimTime,
+    next: usize,
+    head: SimTime,
+    window: usize,
+) -> usize {
+    let mut end = next.next_multiple_of(window);
+    while end < arrivals.len() && at(&arrivals[end]) <= head {
+        end += window;
+    }
+    end.min(arrivals.len()) - next
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odx_telemetry::MetricSeries;
+
+    /// A handler log: `(virtual ms, event name)` per fired event.
+    type Log = Vec<(u64, &'static str)>;
 
     #[derive(Default)]
     struct Recorder {
-        log: Vec<(u64, &'static str)>,
+        log: Log,
     }
 
+    #[derive(Debug, Clone, Copy)]
     enum Ev {
         Mark(&'static str),
+        /// Logs, then re-fires 10 ms later until `more` runs out.
         Chain(&'static str, u64),
+        /// Logs, then schedules `n` marks at its own millisecond.
+        Fan(&'static str, u64),
+    }
+
+    impl Ev {
+        fn name(self) -> &'static str {
+            match self {
+                Ev::Mark(name) | Ev::Chain(name, _) | Ev::Fan(name, _) => name,
+            }
+        }
+
+        /// What handling `self` schedules, as `(delay ms, event)`.
+        fn follow_ups(self) -> Vec<(u64, Ev)> {
+            match self {
+                Ev::Chain(name, more) if more > 0 => vec![(10, Ev::Chain(name, more - 1))],
+                Ev::Fan(name, n) => (0..n).map(|_| (0, Ev::Mark(name))).collect(),
+                _ => Vec::new(),
+            }
+        }
     }
 
     impl World for Recorder {
         type Event = Ev;
         fn handle(&mut self, ctx: &mut Ctx<Ev>, ev: Ev) {
-            match ev {
-                Ev::Mark(name) => self.log.push((ctx.now().as_millis(), name)),
-                Ev::Chain(name, more) => {
-                    self.log.push((ctx.now().as_millis(), name));
-                    if more > 0 {
-                        ctx.schedule_in(SimDuration::from_millis(10), Ev::Chain(name, more - 1));
-                    }
-                }
+            self.log.push((ctx.now().as_millis(), ev.name()));
+            for (delay, follow_up) in ev.follow_ups() {
+                ctx.schedule_in(SimDuration::from_millis(delay), follow_up);
             }
         }
     }
@@ -538,7 +597,7 @@ mod tests {
             fn event_label(&self, event: &Ev) -> &'static str {
                 match event {
                     Ev::Mark(_) => "mark",
-                    Ev::Chain(..) => "chain",
+                    Ev::Chain(..) | Ev::Fan(..) => "chain",
                 }
             }
         }
@@ -568,58 +627,231 @@ mod tests {
         assert_eq!(run(SchedulerKind::Heap), run(SchedulerKind::Wheel));
     }
 
-    struct Chunks {
-        chunks: Vec<Vec<(u64, u64)>>, // (at ms, reserved seq)
-        next: usize,
+    /// Everything a run exposes: handler log, clock, `sim.events`, the
+    /// trace (the `sim.run` span), and the series, which tracks
+    /// `sim.events` and `sim.queue_depth` every 7 ms.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        log: Log,
+        now: SimTime,
+        processed: u64,
+        events: u64,
+        trace: Vec<odx_telemetry::SpanEvent>,
+        series: odx_telemetry::SeriesSnapshot,
     }
 
-    impl ArrivalSource<Ev> for Chunks {
-        fn peek(&mut self) -> Option<SimTime> {
-            self.chunks.get(self.next).map(|c| SimTime::from_millis(c[0].0))
-        }
-        fn inject(&mut self, sched: &mut Scheduler<Ev>) {
-            for &(at, seq) in &self.chunks[self.next] {
-                sched.schedule_with_seq(SimTime::from_millis(at), seq, Ev::Chain("s", 2));
+    const GRID_MS: u64 = 7;
+
+    /// Run `setup` plus `arrivals` on `kind` and observe it: with
+    /// `window: None`, every arrival is scheduled up front ahead of the
+    /// setup events; otherwise `run_merged` streams them with that depth
+    /// window.
+    fn observe(
+        kind: SchedulerKind,
+        setup: &[(u64, Ev)],
+        arrivals: &[(u64, Ev)],
+        window: Option<usize>,
+    ) -> Observed {
+        let registry = odx_telemetry::Registry::new();
+        let series = odx_telemetry::SeriesRecorder::new(GRID_MS);
+        series.track_counter("sim.events", registry.counter("sim.events"));
+        series.track_gauge("sim.queue_depth", registry.gauge("sim.queue_depth"));
+        let mut sim = Simulation::with_scheduler(Recorder::default(), kind, 8);
+        sim.attach_telemetry(registry.clone());
+        sim.attach_series(series.clone());
+        if window.is_none() {
+            for &(at, ev) in arrivals {
+                sim.schedule_at(SimTime::from_millis(at), ev);
             }
-            self.next += 1;
+        }
+        for &(at, ev) in setup {
+            sim.schedule_at(SimTime::from_millis(at), ev);
+        }
+        let n = match window {
+            None => sim.run_to_completion(),
+            Some(window) => sim.run_merged_windowed(
+                arrivals,
+                |a| SimTime::from_millis(a.0),
+                |i| arrivals[i].1,
+                window,
+            ),
+        };
+        assert_eq!(n, sim.processed());
+        series.finish(sim.now().as_millis());
+        let snap = registry.snapshot();
+        Observed {
+            now: sim.now(),
+            processed: sim.processed(),
+            events: snap.counters["sim.events"],
+            trace: snap.trace.events,
+            series: series.snapshot(),
+            log: sim.into_world().log,
+        }
+    }
+
+    /// The arrival-streaming loop `run_merged` replaced, written out on a
+    /// plain `(time, seq)` heap: arrivals hold seqs `0..N` and enter a
+    /// `window` at a time once the window's first time is at or before
+    /// the heap's head (or the heap is empty); everything else draws seqs
+    /// from `N` up. Returns the handler log and the heap size at every
+    /// `GRID_MS` grid point sampled before an event.
+    fn streamed_model(
+        setup: &[(u64, Ev)],
+        arrivals: &[(u64, Ev)],
+        window: usize,
+    ) -> (Log, Vec<(u64, usize)>) {
+        use std::cmp::Reverse;
+        let mut events: Vec<Ev> = Vec::new();
+        let mut heap = std::collections::BinaryHeap::new();
+        let mut next_seq = arrivals.len();
+        for &(at, ev) in setup {
+            events.push(ev);
+            heap.push(Reverse((at, next_seq, events.len() - 1)));
+            next_seq += 1;
+        }
+        let (mut admitted, mut due) = (0, GRID_MS);
+        let (mut log, mut depths) = (Vec::new(), Vec::new());
+        loop {
+            while admitted < arrivals.len()
+                && heap.peek().map_or(true, |Reverse((head, ..))| arrivals[admitted].0 <= *head)
+            {
+                for (i, &(at, ev)) in arrivals.iter().enumerate().skip(admitted).take(window) {
+                    events.push(ev);
+                    heap.push(Reverse((at, i, events.len() - 1)));
+                }
+                admitted = (admitted + window).min(arrivals.len());
+            }
+            let Some(Reverse((now, _, idx))) = heap.pop() else { break };
+            while due < now {
+                depths.push((due, heap.len() + 1));
+                due += GRID_MS;
+            }
+            let ev = events[idx];
+            log.push((now, ev.name()));
+            for (delay, follow_up) in ev.follow_ups() {
+                events.push(follow_up);
+                heap.push(Reverse((now + delay, next_seq, events.len() - 1)));
+                next_seq += 1;
+            }
+        }
+        (log, depths)
+    }
+
+    /// `run_merged` against eager up-front scheduling and against the
+    /// streamed model, on both schedulers, for depth windows from 1 up
+    /// to the production window.
+    fn assert_merge_parity(setup: &[(u64, Ev)], arrivals: &[(u64, Ev)]) {
+        let eager = observe(SchedulerKind::Heap, setup, arrivals, None);
+        assert_eq!(observe(SchedulerKind::Wheel, setup, arrivals, None), eager);
+        let eager_events = &eager.series.series["sim.events"];
+        for window in [1, 2, 3, 7, DEPTH_WINDOW] {
+            let (model_log, model_depths) = streamed_model(setup, arrivals, window);
+            assert_eq!(model_log, eager.log, "the streamed model orders like eager scheduling");
+            let merged = observe(SchedulerKind::Heap, setup, arrivals, Some(window));
+            let ctx = format!("window {window}");
+            assert_eq!(merged.log, eager.log, "{ctx}");
+            assert_eq!(merged.now, eager.now, "{ctx}");
+            assert_eq!(merged.processed, eager.processed, "{ctx}");
+            assert_eq!(merged.events, eager.events, "{ctx}");
+            assert_eq!(merged.trace, eager.trace, "{ctx}: one sim.run span, same bounds");
+            assert_eq!(merged.series.times, eager.series.times, "{ctx}");
+            assert_eq!(&merged.series.series["sim.events"], eager_events, "{ctx}");
+            let Some(MetricSeries::Gauge(depth)) = merged.series.series.get("sim.queue_depth")
+            else {
+                panic!("sim.queue_depth is tracked as a gauge");
+            };
+            let (last, grid) = depth.split_last().expect("finish() appended a sample");
+            let got: Vec<(u64, usize)> =
+                merged.series.times.iter().zip(grid).map(|(&t, &d)| (t, d as usize)).collect();
+            assert_eq!(got, model_depths, "{ctx}: depth counts admitted arrivals");
+            assert_eq!(*last, 0.0, "{ctx}: nothing is pending at the end");
+            assert_eq!(observe(SchedulerKind::Wheel, setup, arrivals, Some(window)), merged);
         }
     }
 
     #[test]
-    fn run_streamed_matches_eager_scheduling_byte_for_byte() {
-        let arrivals: Vec<u64> = (0..40).map(|i| (i * 13) % 200).collect();
-        let mut sorted = arrivals.clone();
-        sorted.sort_unstable();
-        let eager = {
-            let mut sim = Simulation::new(Recorder::default());
-            sim.reserve_seqs(sorted.len() as u64);
-            for (i, &at) in sorted.iter().enumerate() {
-                sim.queue.schedule_with_seq(SimTime::from_millis(at), i as u64, Ev::Chain("s", 2));
-            }
-            sim.run_to_completion();
-            (sim.now(), sim.processed(), sim.into_world().log)
-        };
-        for kind in SchedulerKind::ALL {
-            let registry = odx_telemetry::Registry::new();
-            let mut sim = Simulation::with_scheduler(Recorder::default(), kind, 8);
-            sim.attach_telemetry(registry.clone());
-            sim.reserve_seqs(sorted.len() as u64);
-            let chunks: Vec<Vec<(u64, u64)>> = sorted
-                .chunks(7)
-                .enumerate()
-                .map(|(c, chunk)| {
-                    chunk.iter().enumerate().map(|(j, &at)| (at, (c * 7 + j) as u64)).collect()
-                })
-                .collect();
-            let mut src = Chunks { chunks, next: 0 };
-            let n = sim.run_streamed(&mut src);
-            assert_eq!(n, eager.1, "{kind}");
-            assert_eq!((sim.now(), sim.processed(), sim.into_world().log), eager, "{kind}");
-            // Exactly one sim.run span, same as run_until.
-            let snap = registry.snapshot();
-            assert_eq!(snap.trace.events.len(), 2, "{kind}");
-            assert_eq!(snap.counters["sim.events"], eager.1, "{kind}");
-        }
+    fn merged_arrivals_match_eager_with_zero_delay_fan_out() {
+        // Three arrivals share millisecond 5 and two fan out at it: every
+        // arrival at 5 fires before any fan-out mark, as under eager
+        // scheduling where arrivals hold the lowest seqs.
+        let arrivals = [
+            (5, Ev::Fan("f", 3)),
+            (5, Ev::Mark("a")),
+            (5, Ev::Fan("g", 2)),
+            (6, Ev::Fan("h", 1)),
+            (20, Ev::Chain("c", 2)),
+            (20, Ev::Fan("i", 2)),
+        ];
+        assert_merge_parity(&[], &arrivals);
+    }
+
+    #[test]
+    fn merged_arrivals_win_ties_against_setup_events() {
+        let setup =
+            [(5, Ev::Mark("setup-a")), (10, Ev::Chain("setup-c", 2)), (30, Ev::Fan("s", 2))];
+        let arrivals = [
+            (0, Ev::Mark("first")),
+            (5, Ev::Chain("x", 1)),
+            (10, Ev::Mark("y")),
+            (15, Ev::Mark("z")),
+            (30, Ev::Fan("w", 1)),
+            (30, Ev::Mark("v")),
+        ];
+        assert_merge_parity(&setup, &arrivals);
+    }
+
+    #[test]
+    fn merged_follow_ups_can_land_behind_the_wheel_cursor() {
+        // The setup event at 100 s is the scheduler's head while arrivals
+        // run: peeking it moves the wheel's cursor there, so every chain
+        // link the arrivals schedule lands behind the cursor.
+        let setup = [(100_000, Ev::Mark("far")), (100_000, Ev::Chain("far-c", 1))];
+        let mut arrivals: Vec<(u64, Ev)> =
+            (0..60).map(|i| (i * 37 % 2_000, Ev::Chain("c", i % 4))).collect();
+        arrivals.sort_by_key(|a| a.0);
+        assert_merge_parity(&setup, &arrivals);
+    }
+
+    #[test]
+    fn merged_depth_accounting_crosses_many_windows() {
+        // Forty arrivals over 200 ms against a 7 ms grid: windows of 1–7
+        // are admitted and drained many times between samples.
+        let mut arrivals: Vec<(u64, Ev)> = (0..40u64)
+            .map(|i| {
+                let ev = match i % 3 {
+                    0 => Ev::Chain("s", 2),
+                    1 => Ev::Fan("f", 2),
+                    _ => Ev::Mark("m"),
+                };
+                ((i * 13) % 200, ev)
+            })
+            .collect();
+        arrivals.sort_by_key(|a| a.0);
+        let setup = [(3, Ev::Chain("setup", 5)), (90, Ev::Mark("mid")), (250, Ev::Mark("tail"))];
+        assert_merge_parity(&setup, &arrivals);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival 2 at 3 ms precedes the previous event at 9 ms")]
+    fn merged_arrivals_must_be_sorted() {
+        let arrivals = [(5, Ev::Mark("a")), (9, Ev::Mark("b")), (3, Ev::Mark("c"))];
+        let mut sim = Simulation::new(Recorder::default());
+        sim.run_merged(&arrivals, |a| SimTime::from_millis(a.0), |i| arrivals[i].1);
+    }
+
+    #[test]
+    fn merged_profiler_times_one_choice_per_event() {
+        let registry = odx_telemetry::Registry::new();
+        let mut sim = Simulation::new(Recorder::default());
+        sim.attach_telemetry(registry.clone());
+        sim.attach_profiler();
+        sim.schedule_at(SimTime::from_millis(4), Ev::Chain("setup", 1));
+        let arrivals = [(1, Ev::Fan("f", 2)), (4, Ev::Chain("c", 2))];
+        let n = sim.run_merged(&arrivals, |a| SimTime::from_millis(a.0), |i| arrivals[i].1);
+        // Setup chain 2 + fan-out 3 + arrival chain 3; no trailing empty pop.
+        assert_eq!(n, 8);
+        assert_eq!(registry.wall("prof.sched.pops"), Some(8.0));
+        assert_eq!(sim.profiler().expect("profiler attached").events(), 8);
     }
 
     #[test]
@@ -689,7 +921,7 @@ mod tests {
             fn event_label(&self, event: &Ev) -> &'static str {
                 match event {
                     Ev::Mark(_) => "mark",
-                    Ev::Chain(..) => "chain",
+                    Ev::Chain(..) | Ev::Fan(..) => "chain",
                 }
             }
         }

@@ -33,15 +33,15 @@ pub struct EventId {
     pub(crate) generation: u32,
 }
 
-/// What the binary heap actually stores: the ordering key plus the slab
-/// coordinates of the payload. Small and `Copy`, so sift operations move
-/// 24 bytes instead of whole payloads.
+/// What the binary heap (and the timing wheel's buckets) actually store:
+/// the ordering key plus the slab coordinates of the payload. Small and
+/// `Copy`, so sift operations move 24 bytes instead of whole payloads.
 #[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-    generation: u32,
+pub(crate) struct HeapEntry {
+    pub(crate) time: SimTime,
+    pub(crate) seq: u64,
+    pub(crate) slot: u32,
+    pub(crate) generation: u32,
 }
 
 // Orderings are inverted so `BinaryHeap` (a max-heap) pops the earliest
@@ -123,22 +123,6 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.schedule_with_seq(time, seq, payload)
-    }
-
-    /// Reserve sequence numbers `0..n` for [`EventQueue::schedule_with_seq`]:
-    /// plain `schedule` calls will draw sequence numbers from `n` upward, so
-    /// a caller that knows its arrival count up front can keep injecting
-    /// arrivals lazily while preserving the same-timestamp tie-break order
-    /// an eager up-front scheduling pass would have produced.
-    pub fn reserve_seqs(&mut self, n: u64) {
-        self.next_seq = self.next_seq.max(n);
-    }
-
-    /// Schedule `payload` at `time` with an explicit, caller-reserved
-    /// sequence number (see [`EventQueue::reserve_seqs`]). The caller must
-    /// keep reserved sequence numbers unique; pop order is `(time, seq)`.
-    pub fn schedule_with_seq(&mut self, time: SimTime, seq: u64, payload: E) -> EventId {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize].payload = Some(payload);

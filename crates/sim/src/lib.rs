@@ -18,9 +18,9 @@
 //!   schedule that reproduces the heap's exact `(time, seq)` pop order, and
 //!   the enum that lets simulations pick either implementation at run time
 //!   (`--set sim.scheduler=wheel`).
-//! * [`ArrivalSource`] / [`Simulation::run_streamed`] — just-in-time chunk
-//!   admission, so full-scale replays never materialize millions of arrival
-//!   events in the queue up front.
+//! * [`Simulation::run_merged`] — dispatches a time-sorted arrival stream
+//!   alongside the scheduler, so full-scale replays never push their
+//!   millions of arrivals through the future-event list.
 //! * [`FxHashMap`] / [`FxHashSet`] — deterministic FxHash-based maps for
 //!   simulation-internal lookups on the hot path.
 //! * [`RngFactory`] — named, independently seeded RNG streams, so adding a
@@ -69,7 +69,7 @@ mod time;
 mod token_bucket;
 mod wheel;
 
-pub use engine::{ArrivalSource, Ctx, Simulation, World};
+pub use engine::{Ctx, Simulation, World};
 pub use event::{EventId, EventQueue};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use wheel::{Scheduler, SchedulerKind, TimingWheel};

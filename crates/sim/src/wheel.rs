@@ -16,10 +16,12 @@
 //! sequence number yields precisely the heap's same-timestamp tie-break —
 //! scheduling order. Buckets drain in increasing time because the cursor
 //! only moves forward (higher levels cascade downward before their window
-//! is reached), and the rare backward jump — scheduling an event earlier
-//! than the cursor, legal on the raw queue API — is handled by re-dealing
-//! the wheel's whole contents against the new floor, preserving order at
-//! a cost proportional to the pending-event count.
+//! is reached). An event scheduled earlier than the cursor — legal on the
+//! raw queue API, and routine under the engine's merged arrival loop,
+//! where an arrival dispatched ahead of a peeked head schedules follow-ups
+//! that land before it — parks in a small `(time, seq)` min-heap that
+//! drains before the buckets: everything in it is earlier than the
+//! cursor, hence earlier than everything in the wheel.
 //!
 //! **Cancellation** reuses the generation-stamped slab of the slab-heap
 //! queue verbatim: cancel is an O(1) slab write, stale bucket entries are
@@ -27,7 +29,9 @@
 //! already-fired id is structurally a no-op ([`EventId`] generations move
 //! on when the payload leaves the slab).
 
-use crate::event::{EventId, EventQueue};
+use std::collections::BinaryHeap;
+
+use crate::event::{EventId, EventQueue, HeapEntry as WheelEntry};
 use crate::time::SimTime;
 
 /// Number of wheel levels (excluding the overflow list).
@@ -65,16 +69,6 @@ const LEVEL_OF: [Option<usize>; 65] = {
     table
 };
 
-/// What wheel buckets store: the ordering key plus the slab coordinates of
-/// the payload — the same 24-byte record the heap uses.
-#[derive(Debug, Clone, Copy)]
-struct WheelEntry {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-    generation: u32,
-}
-
 /// One slab slot (see [`EventQueue`] for the generation protocol).
 struct Slot<E> {
     generation: u32,
@@ -94,6 +88,9 @@ pub struct TimingWheel<E> {
     occ: Vec<Vec<u64>>,
     /// Entries beyond the wheel horizon (≥ 2^32 ms past the cursor).
     overflow: Vec<WheelEntry>,
+    /// Entries scheduled behind the cursor, popped in `(time, seq)` order
+    /// before anything in the buckets (all of which are at or past it).
+    early: BinaryHeap<WheelEntry>,
     /// Scan cursor in absolute ms: every bucket before it has drained.
     cur: u64,
     /// The drained bucket currently being popped, sorted by `seq`; all
@@ -130,6 +127,7 @@ impl<E> TimingWheel<E> {
             buckets: SLOTS.iter().map(|&n| vec![Vec::new(); n]).collect(),
             occ: SLOTS.iter().map(|&n| vec![0u64; n.div_ceil(64)]).collect(),
             overflow: Vec::new(),
+            early: BinaryHeap::new(),
             cur: 0,
             ready: Vec::new(),
             ready_pos: 0,
@@ -146,17 +144,6 @@ impl<E> TimingWheel<E> {
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.schedule_with_seq(time, seq, payload)
-    }
-
-    /// Reserve sequence numbers `0..n` (see [`EventQueue::reserve_seqs`]).
-    pub fn reserve_seqs(&mut self, n: u64) {
-        self.next_seq = self.next_seq.max(n);
-    }
-
-    /// Schedule with an explicit, caller-reserved sequence number (see
-    /// [`EventQueue::schedule_with_seq`]).
-    pub fn schedule_with_seq(&mut self, time: SimTime, seq: u64, payload: E) -> EventId {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize].payload = Some(payload);
@@ -191,17 +178,16 @@ impl<E> TimingWheel<E> {
 
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if let Some(entry) = self.early_head() {
+            self.early.pop();
+            return Some((entry.time, self.take(entry)));
+        }
         loop {
             while self.ready_pos < self.ready.len() {
                 let entry = self.ready[self.ready_pos];
                 self.ready_pos += 1;
                 if self.is_current(&entry) {
-                    let slot = &mut self.slots[entry.slot as usize];
-                    let payload = slot.payload.take().expect("live wheel entry has a payload");
-                    slot.generation = slot.generation.wrapping_add(1);
-                    self.free.push(entry.slot);
-                    self.live -= 1;
-                    return Some((entry.time, payload));
+                    return Some((entry.time, self.take(entry)));
                 }
             }
             if !self.advance() {
@@ -212,6 +198,9 @@ impl<E> TimingWheel<E> {
 
     /// The firing time of the earliest pending (non-cancelled) event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        if let Some(entry) = self.early_head() {
+            return Some(entry.time);
+        }
         loop {
             while self.ready_pos < self.ready.len() {
                 let entry = self.ready[self.ready_pos];
@@ -241,23 +230,42 @@ impl<E> TimingWheel<E> {
         self.slots[entry.slot as usize].generation == entry.generation
     }
 
+    /// Release live `entry`'s slot, returning its payload.
+    fn take(&mut self, entry: WheelEntry) -> E {
+        let slot = &mut self.slots[entry.slot as usize];
+        let payload = slot.payload.take().expect("live wheel entry has a payload");
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free.push(entry.slot);
+        self.live -= 1;
+        payload
+    }
+
+    /// The earliest live entry behind the cursor, discarding cancelled
+    /// tombstones off the top of the early heap.
+    fn early_head(&mut self) -> Option<WheelEntry> {
+        while let Some(entry) = self.early.peek() {
+            if self.is_current(entry) {
+                return Some(*entry);
+            }
+            self.early.pop();
+        }
+        None
+    }
+
     /// Route `entry` to its bucket. A level holds the entry iff the
     /// entry's time agrees with the cursor on every digit above that
-    /// level; past-cursor times trigger a full re-deal against the new
-    /// floor (legal on the raw queue API, never taken by the engine's
-    /// monotone replay loop except at streamed chunk boundaries).
+    /// level; times behind the cursor go to the early heap.
     fn place(&mut self, entry: WheelEntry) {
         let t = entry.time.as_millis();
         if t < self.cur {
-            self.rewind(t);
+            self.early.push(entry);
+            return;
         }
         if self.ready_loaded && t == self.cur {
-            // Same instant as the bucket being drained: keep `ready`
-            // seq-sorted past the pop cursor (reserved seqs may be lower
-            // than already-queued ones, never lower than popped ones).
-            let at = self.ready[self.ready_pos..].partition_point(|e| e.seq < entry.seq)
-                + self.ready_pos;
-            self.ready.insert(at, entry);
+            // Same instant as the bucket being drained: the newest seq
+            // sorts last, so appending keeps `ready` seq-sorted.
+            debug_assert!(self.ready.last().map_or(true, |e| e.seq < entry.seq));
+            self.ready.push(entry);
             return;
         }
         // The level is a function of the highest bit where `t` and the
@@ -276,7 +284,8 @@ impl<E> TimingWheel<E> {
 
     /// Move the cursor to the next non-empty bucket and load it into
     /// `ready` (seq-sorted survivors of one absolute millisecond).
-    /// Returns `false` when no live events remain.
+    /// Returns `false` when no live events remain. Callers drain the
+    /// early heap first, so every live event is in the wheel here.
     fn advance(&mut self) -> bool {
         if self.live == 0 {
             self.clear_stale();
@@ -380,41 +389,6 @@ impl<E> TimingWheel<E> {
         }
     }
 
-    /// Schedule an event earlier than the cursor: pull everything out and
-    /// re-deal it against the new floor. O(pending), and rare — the
-    /// engine's replay loop only triggers it when a streamed arrival chunk
-    /// starts before the already-drained bucket.
-    fn rewind(&mut self, floor: u64) {
-        let mut pending: Vec<WheelEntry> = Vec::with_capacity(self.live);
-        pending.extend(
-            self.ready[self.ready_pos..]
-                .iter()
-                .filter(|e| self.slots[e.slot as usize].generation == e.generation),
-        );
-        self.ready.clear();
-        self.ready_pos = 0;
-        self.ready_loaded = false;
-        for (level, &slots) in SLOTS.iter().enumerate().take(LEVELS) {
-            for slot in 0..slots {
-                if self.occ[level][slot / 64] & (1 << (slot % 64)) != 0 {
-                    pending.extend(
-                        self.buckets[level][slot]
-                            .drain(..)
-                            .filter(|e| self.slots[e.slot as usize].generation == e.generation),
-                    );
-                }
-            }
-            for word in &mut self.occ[level] {
-                *word = 0;
-            }
-        }
-        pending.append(&mut self.overflow);
-        self.cur = floor;
-        for e in pending {
-            self.place(e);
-        }
-    }
-
     /// Drop leftover tombstones once the wheel is empty, so an emptied
     /// wheel that is reused never scans (or re-deals) stale windows.
     fn clear_stale(&mut self) {
@@ -423,6 +397,7 @@ impl<E> TimingWheel<E> {
         self.ready_pos = 0;
         self.ready_loaded = false;
         self.overflow.clear();
+        self.early.clear();
         for level in 0..LEVELS {
             for word_idx in 0..self.occ[level].len() {
                 let mut word = self.occ[level][word_idx];
@@ -512,22 +487,6 @@ impl<E> Scheduler<E> {
         match self {
             Scheduler::Heap(q) => q.schedule(time, payload),
             Scheduler::Wheel(w) => w.schedule(time, payload),
-        }
-    }
-
-    /// See [`EventQueue::reserve_seqs`].
-    pub fn reserve_seqs(&mut self, n: u64) {
-        match self {
-            Scheduler::Heap(q) => q.reserve_seqs(n),
-            Scheduler::Wheel(w) => w.reserve_seqs(n),
-        }
-    }
-
-    /// See [`EventQueue::schedule_with_seq`].
-    pub fn schedule_with_seq(&mut self, time: SimTime, seq: u64, payload: E) -> EventId {
-        match self {
-            Scheduler::Heap(q) => q.schedule_with_seq(time, seq, payload),
-            Scheduler::Wheel(w) => w.schedule_with_seq(time, seq, payload),
         }
     }
 
@@ -625,16 +584,41 @@ mod tests {
         assert_eq!(w.pop(), Some((t(10), 1)));
         w.schedule(t(5), 2); // earlier than the already-popped event is fine
         w.schedule(t(6), 3);
-        w.schedule(t(400), 4); // different level after the rewind
+        w.schedule(t(400), 4); // ahead of the cursor: goes to the buckets
         assert_eq!(w.pop(), Some((t(5), 2)));
         assert_eq!(w.pop(), Some((t(6), 3)));
         assert_eq!(w.pop(), Some((t(400), 4)));
     }
 
     #[test]
+    fn behind_cursor_entries_keep_seq_order_and_honour_cancel() {
+        // The merged-arrival pattern: peek loads the bucket at 1000, then
+        // several follow-ups land behind it, two at one instant, one of
+        // them cancelled before it fires.
+        let mut w = TimingWheel::new();
+        w.schedule(t(1000), "head");
+        assert_eq!(w.peek_time(), Some(t(1000)));
+        w.schedule(t(300), "b");
+        let dead = w.schedule(t(200), "dead");
+        w.schedule(t(300), "c");
+        w.schedule(t(200), "a");
+        assert!(w.cancel(dead));
+        assert_eq!(w.len(), 4);
+        assert_eq!(w.peek_time(), Some(t(200)));
+        assert_eq!(w.pop(), Some((t(200), "a")));
+        w.schedule(t(250), "late"); // still behind the cursor
+        assert_eq!(w.pop(), Some((t(250), "late")));
+        assert_eq!(w.pop(), Some((t(300), "b")));
+        assert_eq!(w.pop(), Some((t(300), "c")));
+        assert_eq!(w.pop(), Some((t(1000), "head")));
+        assert_eq!(w.pop(), None);
+        assert!(w.is_empty());
+    }
+
+    #[test]
     fn peek_then_earlier_schedule_still_pops_in_order() {
         // peek_time advances the cursor; a subsequent earlier schedule
-        // must still fire first (the chunk-boundary case).
+        // must still fire first (an arrival's follow-up in the merged loop).
         let mut w = TimingWheel::new();
         w.schedule(t(1000), "late");
         assert_eq!(w.peek_time(), Some(t(1000)));
@@ -642,21 +626,6 @@ mod tests {
         assert_eq!(w.peek_time(), Some(t(7)));
         assert_eq!(w.pop(), Some((t(7), "early")));
         assert_eq!(w.pop(), Some((t(1000), "late")));
-    }
-
-    #[test]
-    fn reserved_seqs_win_same_timestamp_ties_even_when_injected_late() {
-        // Mirrors streamed arrival admission: follow-ups drawn from the
-        // reserved-range top must lose ties against arrivals injected
-        // later with lower reserved seqs.
-        for kind in SchedulerKind::ALL {
-            let mut s: Scheduler<&str> = Scheduler::new(kind);
-            s.reserve_seqs(10);
-            s.schedule(t(500), "follow-up"); // seq 10
-            s.schedule_with_seq(t(500), 3, "arrival");
-            assert_eq!(s.pop(), Some((t(500), "arrival")), "{kind}");
-            assert_eq!(s.pop(), Some((t(500), "follow-up")), "{kind}");
-        }
     }
 
     /// Drive both schedulers through one interleaved op script and assert

@@ -12,9 +12,15 @@
 //! Everything here is wall-clock and therefore nondeterministic by
 //! design; it lives next to `sim.wall_secs` in the wall section and
 //! stays out of every deterministic export. The per-handler breakdown
-//! ([`HandlerProfiler::report`]) charges residual run time (chunk
-//! injection, loop overhead) to an `other` row so the printed shares sum
+//! ([`HandlerProfiler::report`]) charges residual run time (series
+//! sampling, loop overhead) to an `other` row so the printed shares sum
 //! to exactly 100 % of replay wall.
+//!
+//! `sched.pop` is the cost of choosing the next event. Under the engine's
+//! merged arrival loop that is the arrival-or-scheduler choice — peek the
+//! next arrival and the scheduler's head, then take the earlier — timed
+//! once per dispatched event, with no trailing empty pop. Plain run loops
+//! time each `Scheduler::pop`, including the final empty one.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -30,10 +36,9 @@ pub struct HandlerProfiler {
     /// Per-event-kind `(label, seconds, events)` buckets. Worlds expose a
     /// handful of labels, so a linear scan beats a hash map here.
     handlers: Vec<(&'static str, f64, u64)>,
-    /// Seconds spent inside `Scheduler::pop` (including the final empty
-    /// pop that ends a run).
+    /// Seconds spent choosing the next event (see the module docs).
     pop_secs: f64,
-    /// Pop attempts timed.
+    /// Choices timed.
     pops: u64,
     /// Total wall seconds of the run loops this profiler observed.
     run_secs: f64,
@@ -114,8 +119,8 @@ impl HandlerProfiler {
 
     /// The breakdown as rows sorted by descending seconds: one row per
     /// event kind, one for `sched.pop`, and an `other` residual charging
-    /// un-attributed loop time (chunk injection, series sampling, loop
-    /// overhead) so shares sum to exactly 1.
+    /// un-attributed loop time (series sampling, loop overhead) so shares
+    /// sum to exactly 1.
     pub fn report(&self) -> Vec<ProfRow> {
         let total = self.run_secs.max(1e-12);
         let mut rows: Vec<ProfRow> = self

@@ -161,13 +161,6 @@ impl Workload {
         &self.requests
     }
 
-    /// The sorted requests in bounded slices of at most `n`, for consumers
-    /// that admit the week piecewise (the cloud replay's streamed arrival
-    /// injection) instead of holding every future event at once.
-    pub fn chunks(&self, n: usize) -> impl Iterator<Item = &[Request]> {
-        self.requests.chunks(n.max(1))
-    }
-
     /// Number of requests.
     pub fn len(&self) -> usize {
         self.requests.len()
@@ -247,16 +240,6 @@ mod tests {
         sorted.sort_by_key(|r| r.at);
         let w = Workload::generate(&catalog, &population, &cfg, &mut generate_rng);
         assert_eq!(w.requests(), &sorted[..]);
-    }
-
-    #[test]
-    fn chunks_partition_the_sorted_requests() {
-        let (_, _, w) = workload();
-        let rejoined: Vec<Request> = w.chunks(1000).flat_map(|c| c.iter().copied()).collect();
-        assert_eq!(rejoined, w.requests());
-        assert!(w.chunks(1000).all(|c| c.len() <= 1000));
-        // A zero chunk size is clamped rather than looping forever.
-        assert_eq!(w.chunks(0).next().map(|c| c.len()), Some(1));
     }
 
     #[test]
