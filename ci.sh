@@ -111,6 +111,16 @@ diff "$SWEEP_TMP/series-heap/series.csv" "$SWEEP_TMP/series-wheel/series.csv"
 diff "$SWEEP_TMP/series-heap/series.json" tests/golden/series_paper_default_s2015_scale002.json
 echo "series above one arrival window identical on both schedulers and to the golden"
 
+echo "== trace exports: the three TSVs and six Fig 8/9 CDF dumps match their checksums =="
+# Pinned before the per-task records became ledger columns: the exports
+# as the CLI writes them must not move a byte.
+mkdir -p "$SWEEP_TMP/exports"
+cargo run --release -p odx-bench --bin repro -- fig8 fig9 export-traces \
+  --scale 0.005 --out "$SWEEP_TMP/exports" > /dev/null
+golden_sums="$PWD/tests/golden/trace_exports_s2015_scale0005.sha256"
+(cd "$SWEEP_TMP/exports" && sha256sum -c "$golden_sums")
+echo "trace exports identical to the golden checksums"
+
 echo "== cache-compare smoke: all policies x 2 seeds, --jobs invariant =="
 cargo run --release -p odx-bench --bin repro -- cache-compare \
   --scenario all --seeds 2 --jobs 1 --scale 0.001 --out "$SWEEP_TMP/cc1"

@@ -2056,39 +2056,36 @@ fn export_traces(study: &Study, opts: &Options) {
     let dir = opts.out.clone().unwrap_or_else(|| PathBuf::from("out"));
     std::fs::create_dir_all(&dir).expect("create output dir");
     let report = cloud_week(study, &Study::paper_default());
-
-    // Workload trace.
-    let workload_records: Vec<odx::trace::records::WorkloadRecord> = study
-        .workload
-        .requests()
-        .iter()
-        .map(|r| {
-            let user = study.population.user(r.user);
-            let file = study.catalog.file(r.file);
-            odx::trace::records::WorkloadRecord {
-                user_id: r.user,
-                isp: user.isp,
-                access_kbps: user.reports_bandwidth.then_some(user.access_kbps),
-                request_time: r.at,
-                file_type: file.ftype,
-                size_mb: file.size_mb,
-                source_link: file.source_link(),
-                protocol: file.protocol,
-            }
-        })
-        .collect();
-    for (name, write) in
-        [("workload_trace.tsv", 0usize), ("predownload_trace.tsv", 1), ("fetch_trace.tsv", 2)]
-    {
-        let path = dir.join(name);
-        let mut f = std::fs::File::create(&path).expect("create trace file");
-        match write {
-            0 => odx::trace::io::write_tsv(&mut f, &workload_records).unwrap(),
-            1 => odx::trace::io::write_tsv(&mut f, &report.predownloads).unwrap(),
-            _ => odx::trace::io::write_tsv(&mut f, &report.fetches).unwrap(),
+    // Every trace streams row by row from its source; none is collected.
+    let workload_records = study.workload.requests().iter().map(|r| {
+        let user = study.population.user(r.user);
+        let file = study.catalog.file(r.file);
+        odx::trace::records::WorkloadRecord {
+            user_id: r.user,
+            isp: user.isp,
+            access_kbps: user.reports_bandwidth.then_some(user.access_kbps),
+            request_time: r.at,
+            file_type: file.ftype,
+            size_mb: file.size_mb,
+            source_link: file.source_link(),
+            protocol: file.protocol,
         }
-        println!("  wrote {}", path.display());
-    }
+    });
+    write_trace(&dir, "workload_trace.tsv", workload_records);
+    write_trace(&dir, "predownload_trace.tsv", report.predownloads.iter());
+    write_trace(&dir, "fetch_trace.tsv", report.fetches.iter());
+}
+
+/// Stream `records` into `dir/name` as one TSV trace.
+fn write_trace<R: odx::trace::io::ToTsv>(
+    dir: &std::path::Path,
+    name: &str,
+    records: impl IntoIterator<Item = R>,
+) {
+    let path = dir.join(name);
+    let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create trace file"));
+    odx::trace::io::write_tsv(&mut f, records).and_then(|()| f.flush()).expect("write trace file");
+    println!("  wrote {}", path.display());
 }
 
 fn ablate_dedup(study: &Study) {

@@ -31,6 +31,7 @@ mod config;
 mod content_db;
 pub mod dedup;
 mod fetch;
+mod ledger;
 mod predownload;
 pub mod streaming;
 mod system;
@@ -40,6 +41,7 @@ pub use backend::CloudWeekBackend;
 pub use config::CloudConfig;
 pub use content_db::{ContentDb, FileState};
 pub use fetch::{FetchModel, FetchPlan};
+pub use ledger::{EndToEnd, FetchLedger, PredownloadLedger};
 pub use odx_cache::{CacheConfig, PolicyKind};
 pub use odx_telemetry::Observers;
 pub use predownload::{PredownloadModel, PredownloadOutcome};

@@ -15,41 +15,12 @@ use odx_telemetry::{
     Counter, Gauge, Histogram, HistogramHandle, Lifecycle, LifecycleReport, Observers, Registry,
     SeriesRecorder, Stage, TaskEnd,
 };
-use odx_trace::records::{FetchRecord, PredownloadRecord};
 use odx_trace::{Catalog, PopularityClass, Population, Workload};
 
 use odx_cache::InstrumentedCache;
 
+use crate::ledger::{fetched_mb, FetchLedger, PredlGroup, PredownloadLedger};
 use crate::{CloudConfig, CloudWeekBackend, ContentDb, PredownloadOutcome};
-
-/// End-to-end view of one completed offline-downloading task (§4.3): total
-/// delay is pre-downloading delay plus fetching delay.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EndToEnd {
-    /// File size (MB).
-    pub size_mb: f64,
-    /// Pre-downloading delay (zero on cache hits).
-    pub pd_delay: SimDuration,
-    /// Fetching delay.
-    pub fetch_delay: SimDuration,
-}
-
-impl EndToEnd {
-    /// End-to-end delay.
-    pub fn delay(&self) -> SimDuration {
-        self.pd_delay + self.fetch_delay
-    }
-
-    /// End-to-end speed (KBps): size over total delay.
-    pub fn speed_kbps(&self) -> f64 {
-        let secs = self.delay().as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.size_mb * 1000.0 / secs
-        }
-    }
-}
 
 /// Aggregate counters of the replay.
 #[derive(Debug, Clone, Copy, Default)]
@@ -100,11 +71,10 @@ pub struct Counters {
 #[derive(Debug)]
 pub struct WeekReport {
     /// One record per request (cache hits included with zero delay).
-    pub predownloads: Vec<PredownloadRecord>,
-    /// One record per attempted fetch (rejected ones have zero speed).
-    pub fetches: Vec<FetchRecord>,
-    /// End-to-end view of tasks that completed both phases.
-    pub end_to_end: Vec<EndToEnd>,
+    pub predownloads: PredownloadLedger,
+    /// One record per attempted fetch (rejected ones have zero speed), plus
+    /// the end-to-end view of tasks that completed both phases.
+    pub fetches: FetchLedger,
     /// Cloud upload burden (KBps) in 5-minute bins — Fig 11's upper curve.
     pub burden_kbps: BinnedSeries,
     /// Burden attributable to highly popular files — Fig 11's lower curve.
@@ -173,12 +143,17 @@ impl WeekReport {
 
     /// End-to-end speed ECDF (KBps).
     pub fn end_to_end_speed_ecdf(&self) -> Ecdf {
-        Ecdf::new(self.end_to_end.iter().map(EndToEnd::speed_kbps).collect())
+        Ecdf::new(self.fetches.end_to_end().map(|e| e.speed_kbps()).collect())
     }
 
     /// End-to-end delay ECDF (minutes).
     pub fn end_to_end_delay_ecdf(&self) -> Ecdf {
-        Ecdf::new(self.end_to_end.iter().map(|e| e.delay().as_mins_f64()).collect())
+        Ecdf::new(self.fetches.end_to_end().map(|e| e.delay().as_mins_f64()).collect())
+    }
+
+    /// Heap bytes of the per-task ledger: every column of both traces.
+    pub fn ledger_bytes(&self) -> usize {
+        self.predownloads.heap_bytes() + self.fetches.heap_bytes()
     }
 
     /// Overall pre-download traffic divided by payload (§4.1: ≈ 196 % for
@@ -455,10 +430,8 @@ pub struct XuanfengCloud<'a> {
     waiter_head: Vec<u32>,
     waiter_tail: Vec<u32>,
     next_waiter: Vec<u32>,
-    pd_delay_ms: Vec<u64>,
-    predownloads: Vec<PredownloadRecord>,
-    fetches: Vec<FetchRecord>,
-    end_to_end: Vec<EndToEnd>,
+    predownloads: PredownloadLedger,
+    fetches: FetchLedger,
     burden: BinnedSeries,
     burden_hot: BinnedSeries,
     counters: Counters,
@@ -542,10 +515,8 @@ impl<'a> XuanfengCloud<'a> {
             waiter_head: vec![NO_WAITER; catalog.len()],
             waiter_tail: vec![NO_WAITER; catalog.len()],
             next_waiter: vec![NO_WAITER; workload.len()],
-            pd_delay_ms: vec![0; workload.len()],
-            predownloads: Vec::with_capacity(workload.len()),
-            fetches: Vec::with_capacity(workload.len()),
-            end_to_end: Vec::with_capacity(workload.len()),
+            predownloads: PredownloadLedger::with_capacity(workload.len()),
+            fetches: FetchLedger::new(population.users(), workload.len()),
             burden: BinnedSeries::new(horizon_secs, 300.0),
             burden_hot: BinnedSeries::new(horizon_secs, 300.0),
             counters: Counters::default(),
@@ -684,7 +655,7 @@ impl<'a> XuanfengCloud<'a> {
         (report, lifecycle)
     }
 
-    fn into_report(self) -> WeekReport {
+    fn into_report(mut self) -> WeekReport {
         let failure_by_popularity = self
             .failure_bins
             .iter()
@@ -694,10 +665,11 @@ impl<'a> XuanfengCloud<'a> {
                 ((i as f64 + 0.5) * FIG10_BIN_WIDTH, *fails as f64 / *attempts as f64)
             })
             .collect();
+        self.predownloads.shrink_to_fit();
+        self.fetches.shrink_to_fit();
         WeekReport {
             predownloads: self.predownloads,
             fetches: self.fetches,
-            end_to_end: self.end_to_end,
             burden_kbps: self.burden,
             burden_hot_kbps: self.burden_hot,
             counters: self.counters,
@@ -719,20 +691,6 @@ impl<'a> XuanfengCloud<'a> {
 
     fn note_request(&mut self, file: u32) {
         self.failure_bins[self.fig10_bin[file as usize] as usize].1 += 1;
-    }
-
-    fn hit_record(&self, at: SimTime) -> PredownloadRecord {
-        PredownloadRecord {
-            start: at,
-            finish: at,
-            acquired_mb: 0.0,
-            traffic_mb: 0.0,
-            cache_hit: true,
-            avg_kbps: 0.0,
-            peak_kbps: 0.0,
-            success: true,
-            failure_cause: None,
-        }
     }
 
     fn think_after_hit(&mut self) -> SimDuration {
@@ -813,18 +771,7 @@ impl<'a> XuanfengCloud<'a> {
             self.hot.fetch_impeded += 1;
             self.trace_instant(req, Stage::Admission, now, Some("reject"));
             self.trace_finish(req, TaskEnd::Rejected, now, Some("rejection"));
-            self.fetches.push(FetchRecord {
-                user_id: request.user,
-                isp: user.isp,
-                access_kbps: user.reports_bandwidth.then_some(user.access_kbps),
-                start: now,
-                finish: now,
-                acquired_mb: 0.0,
-                traffic_mb: 0.0,
-                avg_kbps: 0.0,
-                peak_kbps: 0.0,
-                rejected: true,
-            });
+            self.fetches.push(req, request.user, now, now, 0.0, 0.0);
             // Fig 11 includes the estimated burden of rejected fetches at
             // the population's average fetch speed (504 KBps).
             let est_secs = odx_net::transfer_secs(file.size_mb, 504.0);
@@ -918,8 +865,7 @@ impl World for XuanfengCloud<'_> {
                     debug_assert!(self.db.state(file_idx).cached, "pool/DB flag drift");
                     self.counters.cache_hits += 1;
                     self.hot.cache_hit += 1;
-                    self.predownloads.push(self.hit_record(now));
-                    self.pd_delay_ms[req as usize] = 0;
+                    self.predownloads.push_hit(now);
                     let think = self.think_after_hit();
                     self.trace_instant(req, Stage::CacheLookup, now, Some("hit"));
                     self.trace_span(req, Stage::Queue, now, now + think, None);
@@ -971,28 +917,23 @@ impl World for XuanfengCloud<'_> {
                         }
                         self.counters.predownload_traffic_mb += traffic_mb;
                         self.counters.predownload_payload_mb += meta.size_mb;
+                        self.predownloads.push_group(PredlGroup::success(
+                            now,
+                            meta.size_mb,
+                            rate_kbps,
+                            traffic_mb,
+                        ));
                         let mut cursor = self.waiter_head[file as usize];
                         let mut i = 0usize;
                         while cursor != NO_WAITER {
                             let req = cursor;
                             // Arrivals fire at exactly their workload time.
                             let arrived = self.workload.requests()[req as usize].at;
-                            // The initiator's record carries the transfer;
-                            // joiners were satisfied by the same process.
-                            self.predownloads.push(PredownloadRecord {
-                                start: arrived,
-                                finish: now,
-                                acquired_mb: meta.size_mb,
-                                traffic_mb: if i == 0 { traffic_mb } else { 0.0 },
-                                cache_hit: i != 0,
-                                avg_kbps: if i == 0 { rate_kbps } else { 0.0 },
-                                peak_kbps: rate_kbps * self.backend.predl_peak_factor(),
-                                success: true,
-                                failure_cause: None,
-                            });
+                            let peak_kbps = rate_kbps * self.backend.predl_peak_factor();
+                            self.predownloads.push_waiter(arrived, i == 0, Some(peak_kbps));
                             let delay_ms = now.since(arrived).as_millis();
                             self.hot.predownload_delay_ms.record(delay_ms);
-                            self.pd_delay_ms[req as usize] = delay_ms;
+                            self.fetches.set_predownload_delay(req, delay_ms);
                             let think = self.think_after_predownload();
                             let detail = if i == 0 { "initiator" } else { "joined" };
                             self.trace_span(req, Stage::Predownload, arrived, now, Some(detail));
@@ -1040,22 +981,13 @@ impl World for XuanfengCloud<'_> {
                         self.hot.predownload_stagnation += 1;
                         self.db.state_mut(file).failed_attempts += 1;
                         self.counters.predownload_traffic_mb += traffic_mb;
+                        self.predownloads.push_group(PredlGroup::failure(now, traffic_mb, cause));
                         let mut cursor = self.waiter_head[file as usize];
                         let mut n = 0u64;
                         while cursor != NO_WAITER {
                             let req = cursor;
                             let arrived = self.workload.requests()[req as usize].at;
-                            self.predownloads.push(PredownloadRecord {
-                                start: arrived,
-                                finish: now,
-                                acquired_mb: 0.0,
-                                traffic_mb,
-                                cache_hit: false,
-                                avg_kbps: 0.0,
-                                peak_kbps: 0.0,
-                                success: false,
-                                failure_cause: Some(cause),
-                            });
+                            self.predownloads.push_waiter(arrived, n == 0, None);
                             self.trace_span(
                                 req,
                                 Stage::Predownload,
@@ -1083,30 +1015,14 @@ impl World for XuanfengCloud<'_> {
                 }
                 let now = ctx.now();
                 let request = &self.workload.requests()[req as usize];
-                let user = self.population.user(request.user);
                 let delay = now.since(began);
-                let acquired_mb = rate_kbps * delay.as_secs_f64() / 1000.0;
+                let acquired_mb = fetched_mb(rate_kbps, delay);
                 self.counters.completed_fetches += 1;
                 self.hot.fetch_completed += 1;
                 self.hot.fetch_rate_kbps.record_f64(rate_kbps);
                 self.backend.note_fetched(rate_kbps, acquired_mb);
-                self.fetches.push(FetchRecord {
-                    user_id: request.user,
-                    isp: user.isp,
-                    access_kbps: user.reports_bandwidth.then_some(user.access_kbps),
-                    start: began,
-                    finish: now,
-                    acquired_mb,
-                    traffic_mb: acquired_mb * 1.085,
-                    avg_kbps: rate_kbps,
-                    peak_kbps: rate_kbps * self.backend.fetch_peak_factor(),
-                    rejected: false,
-                });
-                self.end_to_end.push(EndToEnd {
-                    size_mb: acquired_mb,
-                    pd_delay: SimDuration::from_millis(self.pd_delay_ms[req as usize]),
-                    fetch_delay: delay,
-                });
+                let peak_kbps = rate_kbps * self.backend.fetch_peak_factor();
+                self.fetches.push(req, request.user, began, now, rate_kbps, peak_kbps);
                 self.trace_span(req, Stage::Fetch, began, now, None);
                 self.trace_finish(req, TaskEnd::Completed, now, None);
                 let file = self.catalog.file(request.file);
@@ -1467,6 +1383,17 @@ mod tests {
         assert_eq!(a.counters.cache_hits, b.counters.cache_hits);
         assert_eq!(a.counters.rejected_fetches, b.counters.rejected_fetches);
         assert_eq!(a.fetches.len(), b.fetches.len());
-        assert_eq!(a.predownloads[..100], b.predownloads[..100]);
+        assert!(a.predownloads.iter().eq(b.predownloads.iter()), "pre-download records differ");
+        assert!(a.fetches.iter().eq(b.fetches.iter()), "fetch records differ");
+        assert!(a.fetches.end_to_end().eq(b.fetches.end_to_end()), "end-to-end views differ");
+    }
+
+    #[test]
+    fn ledger_stays_under_64_bytes_per_request() {
+        // The record vectors this ledger replaced cost ~139 B per request
+        // at scale 1.0; a field that bloats it back should fail here.
+        let report = replay_at(0.02, 2015);
+        let per_request = report.ledger_bytes() as f64 / report.counters.requests as f64;
+        assert!(per_request <= 64.0, "ledger costs {per_request:.1} B per request");
     }
 }

@@ -17,6 +17,14 @@ pub trait ToTsv {
     fn to_row(&self) -> String;
 }
 
+impl<R: ToTsv> ToTsv for &R {
+    const HEADER: &'static str = R::HEADER;
+
+    fn to_row(&self) -> String {
+        (**self).to_row()
+    }
+}
+
 /// A record that can be parsed from a TSV row.
 pub trait FromTsv: Sized {
     /// Parse one row.
@@ -49,9 +57,14 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Write a header plus all records to `w`.
-pub fn write_tsv<R: ToTsv>(w: &mut impl Write, records: &[R]) -> io::Result<()> {
-    writeln!(w, "{}", R::HEADER)?;
+/// Write a header plus all records to `w`. Records stream: a slice, a
+/// `Vec` reference or any iterator of records (or of references) works.
+pub fn write_tsv<I>(w: &mut impl Write, records: I) -> io::Result<()>
+where
+    I: IntoIterator,
+    I::Item: ToTsv,
+{
+    writeln!(w, "{}", <I::Item as ToTsv>::HEADER)?;
     for r in records {
         writeln!(w, "{}", r.to_row())?;
     }
@@ -121,6 +134,10 @@ mod tests {
         write_tsv(&mut buf, &records).unwrap();
         let parsed: Vec<Pair> = read_tsv(&mut buf.as_slice()).unwrap();
         assert_eq!(parsed, records);
+        // Streaming owned records writes the same bytes as the slice.
+        let mut streamed = Vec::new();
+        write_tsv(&mut streamed, records.iter().map(|p| Pair(p.0, p.1))).unwrap();
+        assert_eq!(streamed, buf);
     }
 
     #[test]

@@ -17,23 +17,24 @@ fn predownload_and_fetch_traces_round_trip_through_tsv() {
     let study = Study::generate(0.002, 555);
     let report = replay_cloud(&study);
 
-    // Pre-downloading trace.
+    // Pre-downloading trace: every record, streamed from the ledger.
     let mut buf = Vec::new();
-    write_tsv(&mut buf, &report.predownloads[..500.min(report.predownloads.len())]).unwrap();
+    write_tsv(&mut buf, report.predownloads.iter()).unwrap();
     let parsed: Vec<PredownloadRecord> = read_tsv(&mut buf.as_slice()).unwrap();
-    assert_eq!(parsed.len(), 500.min(report.predownloads.len()));
-    for (a, b) in parsed.iter().zip(&report.predownloads) {
+    assert_eq!(parsed.len(), report.predownloads.len());
+    for (a, b) in parsed.iter().zip(report.predownloads.iter()) {
         assert_eq!(a.cache_hit, b.cache_hit);
         assert_eq!(a.success, b.success);
         assert!((a.avg_kbps - b.avg_kbps).abs() < 1e-9);
         assert_eq!(a.start, b.start);
     }
 
-    // Fetching trace.
+    // Fetching trace: every record, streamed from the ledger.
     let mut buf = Vec::new();
-    write_tsv(&mut buf, &report.fetches[..500.min(report.fetches.len())]).unwrap();
+    write_tsv(&mut buf, report.fetches.iter()).unwrap();
     let parsed: Vec<FetchRecord> = read_tsv(&mut buf.as_slice()).unwrap();
-    for (a, b) in parsed.iter().zip(&report.fetches) {
+    assert_eq!(parsed.len(), report.fetches.len());
+    for (a, b) in parsed.iter().zip(report.fetches.iter()) {
         assert_eq!(a.user_id, b.user_id);
         assert_eq!(a.rejected, b.rejected);
         assert!((a.avg_kbps - b.avg_kbps).abs() < 1e-9);
@@ -80,7 +81,7 @@ fn trace_statistics_survive_serialization() {
     let direct = report.fetch_speed_ecdf().median().unwrap();
 
     let mut buf = Vec::new();
-    write_tsv(&mut buf, &report.fetches).unwrap();
+    write_tsv(&mut buf, report.fetches.iter()).unwrap();
     let parsed: Vec<FetchRecord> = read_tsv(&mut buf.as_slice()).unwrap();
     let reloaded =
         odx::stats::Ecdf::new(parsed.iter().map(|r| r.avg_kbps).collect()).median().unwrap();
