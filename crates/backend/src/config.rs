@@ -83,7 +83,7 @@ mod tests {
             let mut rate = 1000.0;
             if apply_dynamics(&mut rate, 0.09, &mut rng) {
                 fired += 1;
-                assert!(rate >= 50.0 - 1e-9 && rate <= 500.0 + 1e-9, "degraded to {rate}");
+                assert!((50.0 - 1e-9..=500.0 + 1e-9).contains(&rate), "degraded to {rate}");
             } else {
                 assert_eq!(rate, 1000.0);
             }

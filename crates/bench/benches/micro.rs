@@ -50,9 +50,9 @@ fn bench_lru(c: &mut Criterion) {
     c.bench_function("micro/lru_insert_touch_10k", |b| {
         b.iter(|| {
             let mut cache = LruCache::new(5_000.0);
-            for i in 0..10_000u32 {
+            for i in 0..10_000u64 {
                 cache.insert(i, 1.0);
-                cache.touch(&(i / 2));
+                cache.touch(i / 2);
             }
             black_box(cache.len())
         })

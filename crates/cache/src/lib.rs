@@ -11,9 +11,9 @@
 //!   byte-budgeted `lookup` / `insert` / `remove` on the **virtual clock**
 //!   (`now_ms` is simulation time, never wall time), fully deterministic in
 //!   its call sequence.
-//! * [`LruCache`] — the byte-budget LRU migrated verbatim from
-//!   `odx-cloud::cache` (intrusive list over a slab, O(1) everything);
-//!   `odx-cloud` keeps a deprecated re-export for compatibility.
+//! * [`LruCache`] — the paper's byte-budget LRU over dense keys: a slot
+//!   array indexed by the key plus a lazily compacted FIFO of
+//!   `(key, stamp)` uses, so a hit neither hashes nor chases pointers.
 //! * [`LfuCache`] — LFU with periodic aging: frequencies halve every
 //!   virtual day so last week's hits cannot pin stale content forever.
 //! * [`GdsfCache`] — Greedy-Dual-Size-Frequency: size-aware priorities

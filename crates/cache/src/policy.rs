@@ -24,7 +24,8 @@ use crate::{GdsfCache, LfuCache, LruCache, S3FifoCache, ShardedCache};
 ///   the list, so callers can keep an external "is cached" index in sync
 ///   with one loop. (Exception: [`LruCache`]'s inherent `insert` keeps its
 ///   legacy behaviour of silently refusing oversized files; its
-///   [`CachePolicy`] impl papers over this by reporting the refused key.)
+///   [`CachePolicy`] impl reports the refused key and drops any resident
+///   copy of it.)
 /// * Re-inserting a resident key refreshes it (recency/frequency credit)
 ///   and updates its size in place — file-level dedup, exactly like the
 ///   cloud pool.
@@ -111,7 +112,7 @@ impl PolicyKind {
     /// `entries` resident files (mirrors `EventQueue::with_capacity`).
     pub fn build(self, capacity_mb: f64, entries: usize) -> Box<dyn CachePolicy> {
         match self {
-            PolicyKind::Lru => Box::new(LruCache::<u64>::with_capacity(capacity_mb, entries)),
+            PolicyKind::Lru => Box::new(LruCache::with_capacity(capacity_mb, entries)),
             PolicyKind::Lfu => Box::new(LfuCache::with_capacity(capacity_mb, entries)),
             PolicyKind::Gdsf => Box::new(GdsfCache::with_capacity(capacity_mb, entries)),
             PolicyKind::S3Fifo => Box::new(S3FifoCache::with_capacity(capacity_mb, entries)),

@@ -5,9 +5,10 @@
 //! [`CachePolicy`] contract: the byte budget always holds, residency
 //! bookkeeping matches a naive model, eviction lists are exactly the keys
 //! that stopped being resident, and identical call sequences produce
-//! identical eviction sequences.
+//! identical eviction sequences. The LRU is also checked step by step
+//! against a naive reference model of the same policy.
 
-use odx_cache::{CacheConfig, CachePolicy, PolicyKind, ShardedCache};
+use odx_cache::{CacheConfig, CachePolicy, LruCache, PolicyKind, ShardedCache};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
@@ -173,5 +174,138 @@ proptest! {
             prop_assert!((cache.capacity_mb() - 120.0).abs() < 1e-9);
             prop_assert!(cache.is_empty());
         }
+    }
+
+    /// The LRU matches a naive reference model exactly: same evictions in
+    /// the same order, same occupancy bits, same recency order. Touch
+    /// bursts push far more uses than the queue's slack, so every run
+    /// crosses several queue compactions.
+    #[test]
+    fn lru_matches_the_naive_model(
+        ops in prop::collection::vec(oracle_op_strategy(), 1..120),
+    ) {
+        check_lru_against_model(&ops)?;
+    }
+}
+
+/// One step of the LRU differential test.
+#[derive(Debug, Clone, Copy)]
+enum OracleOp {
+    Lookup(u64),
+    /// Fresh or resident re-insert; sizes above the budget are refused.
+    Insert(u64, f64),
+    Remove(u64),
+    /// Look up every resident key round-robin, this many times in all.
+    Touches(usize),
+}
+
+const ORACLE_CAPACITY_MB: f64 = 100.0;
+
+fn oracle_op_strategy() -> impl Strategy<Value = OracleOp> {
+    // The in-budget insert arm is listed twice so inserts outweigh the
+    // other steps and the budget fills (the vendored macro has no weights).
+    prop_oneof![
+        (0u64..30).prop_map(OracleOp::Lookup),
+        (0u64..30, 0.5f64..40.0).prop_map(|(k, s)| OracleOp::Insert(k, s)),
+        (0u64..30, 0.5f64..40.0).prop_map(|(k, s)| OracleOp::Insert(k, s)),
+        (0u64..30, 100.5f64..200.0).prop_map(|(k, s)| OracleOp::Insert(k, s)),
+        (0u64..30).prop_map(OracleOp::Remove),
+        (0usize..2_000).prop_map(OracleOp::Touches),
+    ]
+}
+
+/// A byte-budget LRU as a `Vec` in most-recently-used order, doing the
+/// same floating-point updates in the same order as the cache.
+#[derive(Default)]
+struct NaiveLru {
+    mru: Vec<(u64, f64)>,
+    used_mb: f64,
+}
+
+impl NaiveLru {
+    fn position(&self, key: u64) -> Option<usize> {
+        self.mru.iter().position(|&(k, _)| k == key)
+    }
+
+    fn lookup(&mut self, key: u64) -> Option<f64> {
+        let entry = self.mru.remove(self.position(key)?);
+        self.mru.insert(0, entry);
+        Some(entry.1)
+    }
+
+    fn insert(&mut self, key: u64, size_mb: f64) -> Vec<u64> {
+        if size_mb > ORACLE_CAPACITY_MB {
+            self.remove(key);
+            return vec![key];
+        }
+        if let Some(i) = self.position(key) {
+            let (_, old) = self.mru.remove(i);
+            self.used_mb += size_mb - old;
+        } else {
+            self.used_mb += size_mb;
+        }
+        self.mru.insert(0, (key, size_mb));
+        let mut evicted = Vec::new();
+        while self.used_mb > ORACLE_CAPACITY_MB && self.mru.len() > 1 {
+            let (lru, size) = self.mru.pop().expect("non-empty");
+            self.used_mb -= size;
+            evicted.push(lru);
+        }
+        evicted
+    }
+
+    fn remove(&mut self, key: u64) -> Option<f64> {
+        let (_, size) = self.mru.remove(self.position(key)?);
+        self.used_mb -= size;
+        Some(size)
+    }
+}
+
+fn check_lru_against_model(ops: &[OracleOp]) -> Result<(), TestCaseError> {
+    let mut cache = LruCache::new(ORACLE_CAPACITY_MB);
+    let mut model = NaiveLru::default();
+    for &op in ops {
+        match op {
+            OracleOp::Lookup(key) => {
+                prop_assert_eq!(CachePolicy::lookup(&mut cache, key, 0), model.lookup(key));
+            }
+            OracleOp::Insert(key, size) => {
+                let evicted = CachePolicy::insert(&mut cache, key, size, 0);
+                prop_assert_eq!(evicted, model.insert(key, size), "eviction lists differ");
+            }
+            OracleOp::Remove(key) => {
+                prop_assert_eq!(CachePolicy::remove(&mut cache, key), model.remove(key));
+            }
+            OracleOp::Touches(n) => {
+                let keys: Vec<u64> = model.mru.iter().map(|&(k, _)| k).collect();
+                for key in keys.iter().cycle().take(n) {
+                    prop_assert_eq!(cache.touch(*key), model.lookup(*key));
+                }
+            }
+        }
+        prop_assert_eq!(cache.used_mb().to_bits(), model.used_mb.to_bits());
+        prop_assert_eq!(cache.len(), model.mru.len());
+        let model_mru: Vec<u64> = model.mru.iter().map(|&(k, _)| k).collect();
+        prop_assert_eq!(cache.keys_mru(), model_mru, "recency order differs");
+    }
+    Ok(())
+}
+
+/// Trait contract for every policy: an oversized insert of a resident key
+/// reports the key and leaves it non-resident, with its bytes released.
+/// (A policy may also evict other keys first; those are reported too.)
+#[test]
+fn oversized_reinsert_of_a_resident_key_evicts_it() {
+    for policy in PolicyKind::ALL {
+        let name = policy.name();
+        let mut cache = policy.build(50.0, 4);
+        assert!(cache.insert(1, 10.0, 0).is_empty());
+        assert!(cache.insert(2, 20.0, 0).is_empty());
+        let evicted = cache.insert(1, 60.0, 1);
+        assert!(evicted.contains(&1), "{name} must report the refused key: {evicted:?}");
+        assert!(evicted.iter().all(|&k| !cache.contains(k)), "{name} kept an evicted key");
+        assert_eq!(cache.len(), 2 - evicted.len(), "{name}");
+        let resident_mb = if cache.contains(2) { 20.0 } else { 0.0 };
+        assert!((cache.used_mb() - resident_mb).abs() < 1e-9, "{name}: {}", cache.used_mb());
     }
 }

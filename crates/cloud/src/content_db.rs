@@ -4,21 +4,20 @@
 //! users and cached files. §6.1: ODR's first step on every request is to
 //! "query the content database of Xuanfeng to obtain the popularity
 //! information of the requested file" — this type is that queryable surface.
+//!
+//! Files are addressed by catalog position, which the replay's requests
+//! already carry (a [`FileId`](odx_trace::FileId)'s high 64 bits are that
+//! position), so the DB is a plain vector with no id index.
 
-use odx_sim::FxHashMap;
 use odx_stats::dist::u01;
-use odx_trace::{Catalog, FileId, PopularityClass};
+use odx_trace::{Catalog, PopularityClass};
 use rand::Rng;
 
 /// Dynamic per-file state tracked by the database.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileState {
-    /// Requests observed so far (running popularity statistic).
-    pub observed_requests: u32,
     /// Whether the file currently sits in the cloud storage pool.
     pub cached: bool,
-    /// Whether a pre-downloader is currently working on this file.
-    pub in_flight: bool,
     /// Failed pre-download attempts so far.
     pub failed_attempts: u32,
 }
@@ -26,16 +25,12 @@ pub struct FileState {
 /// The metadata database over a catalog.
 pub struct ContentDb {
     states: Vec<FileState>,
-    // MD5-style ids are already uniform, so the cheap FxHash mix loses
-    // nothing; lookups happen per request in the replay hot loop.
-    by_id: FxHashMap<FileId, u32>,
 }
 
 impl ContentDb {
     /// An empty (cold) database over the catalog's file universe.
     pub fn new(catalog: &Catalog) -> Self {
-        let by_id = catalog.files().iter().enumerate().map(|(i, f)| (f.id, i as u32)).collect();
-        ContentDb { states: vec![FileState::default(); catalog.len()], by_id }
+        ContentDb { states: vec![FileState::default(); catalog.len()] }
     }
 
     /// Warm the cache state as of the start of the measurement week: a file
@@ -52,11 +47,6 @@ impl ContentDb {
             }
         }
         warmed
-    }
-
-    /// Resolve a file id to its index.
-    pub fn index_of(&self, id: FileId) -> Option<u32> {
-        self.by_id.get(&id).copied()
     }
 
     /// State of a file.
@@ -108,9 +98,9 @@ mod tests {
     fn id_resolution() {
         let (catalog, db) = setup();
         for (i, f) in catalog.files().iter().enumerate().take(100) {
-            assert_eq!(db.index_of(f.id), Some(i as u32));
+            assert_eq!(f.id.0 >> 64, i as u128, "an id's high bits are its catalog position");
+            assert!(!db.state(i as u32).cached);
         }
-        assert_eq!(db.index_of(FileId(u128::MAX)), None);
     }
 
     #[test]
@@ -138,9 +128,10 @@ mod tests {
     fn state_mutation_round_trips() {
         let (_, mut db) = setup();
         db.state_mut(3).cached = true;
-        db.state_mut(3).observed_requests = 5;
+        db.state_mut(3).failed_attempts = 5;
         assert!(db.state(3).cached);
-        assert_eq!(db.state(3).observed_requests, 5);
+        assert_eq!(db.state(3).failed_attempts, 5);
+        assert!(!db.state(4).cached);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! A full system model of the cloud studied in §2.1 / §4 of the paper:
 //!
-//! * [`ContentDb`] — metadata for every known file (MD5-keyed), including
+//! * [`ContentDb`] — metadata for every known file (indexed by catalog position), including
 //!   popularity statistics (what ODR queries) and cached status.
 //! * the 2 PB collaborative storage pool, now a pluggable
 //!   [`odx_cache::CachePolicy`] selected by [`CloudConfig`]'s `cache` field

@@ -856,7 +856,6 @@ impl World for XuanfengCloud<'_> {
                 self.hot.requests += 1;
                 let request = &self.workload.requests()[req as usize];
                 let file_idx = request.file;
-                self.db.state_mut(file_idx).observed_requests += 1;
                 self.note_request(file_idx);
                 let now = ctx.now();
                 self.trace_instant(req, Stage::Arrival, now, None);
@@ -887,7 +886,6 @@ impl World for XuanfengCloud<'_> {
                     self.trace_instant(req, Stage::CacheLookup, now, Some("miss"));
                     self.trace_instant(req, Stage::DedupLookup, now, Some("initiated"));
                     let outcome = self.predownload_with_faults(file_idx, now);
-                    self.db.state_mut(file_idx).in_flight = true;
                     ctx.schedule_in(outcome.duration(), Ev::PredlDone { file: file_idx });
                     self.pending_outcome[file_idx as usize] = Some(outcome);
                     self.waiter_head[file_idx as usize] = req;
@@ -897,7 +895,6 @@ impl World for XuanfengCloud<'_> {
             Ev::PredlDone { file } => {
                 let outcome =
                     self.pending_outcome[file as usize].take().expect("pending entry exists");
-                self.db.state_mut(file).in_flight = false;
                 let meta = *self.catalog.file(file);
                 let now = ctx.now();
                 match outcome {
@@ -967,7 +964,6 @@ impl World for XuanfengCloud<'_> {
                             self.hot.predownload_stagnation += 1;
                             self.db.state_mut(file).failed_attempts += 1;
                             self.counters.predownload_traffic_mb += traffic_mb;
-                            self.db.state_mut(file).in_flight = true;
                             ctx.schedule_in(delay, Ev::RetryPredl { file });
                             return;
                         }

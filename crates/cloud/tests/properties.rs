@@ -10,13 +10,13 @@ proptest! {
     /// always equal the sum of resident entries.
     #[test]
     fn lru_never_exceeds_capacity(
-        ops in prop::collection::vec((0u32..200, 1.0f64..50.0, any::<bool>()), 1..300),
+        ops in prop::collection::vec((0u64..200, 1.0f64..50.0, any::<bool>()), 1..300),
     ) {
         let mut cache = LruCache::new(300.0);
         let mut sizes = std::collections::HashMap::new();
         for (key, size, touch) in ops {
             if touch {
-                let hit = cache.touch(&key);
+                let hit = cache.touch(key);
                 prop_assert_eq!(hit.is_some(), sizes.contains_key(&key));
             } else {
                 for evicted in cache.insert(key, size) {
@@ -25,7 +25,7 @@ proptest! {
                 sizes.insert(key, size);
                 // The model can drift when an eviction removes the entry we
                 // think resident; resync from membership.
-                sizes.retain(|k, _| cache.contains(k));
+                sizes.retain(|&k, _| cache.contains(k));
             }
             prop_assert!(cache.used_mb() <= cache.capacity_mb() + 1e-9);
             let model_total: f64 = sizes.values().sum();
@@ -39,12 +39,12 @@ proptest! {
     /// order contains each resident key exactly once.
     #[test]
     fn lru_mru_order_is_a_permutation(
-        ops in prop::collection::vec((0u32..50, any::<bool>()), 1..200),
+        ops in prop::collection::vec((0u64..50, any::<bool>()), 1..200),
     ) {
         let mut cache = LruCache::new(30.0);
         for (key, touch) in ops {
             if touch {
-                cache.touch(&key);
+                cache.touch(key);
             } else {
                 cache.insert(key, 1.0);
             }

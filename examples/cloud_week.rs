@@ -6,8 +6,8 @@
 //! ```
 //!
 //! `scale` defaults to 0.05 (≈ 200k tasks); 1.0 reproduces the paper's full
-//! 4.08 M-task week: 10–13 s wall and a 441 MiB peak RSS, end to end, on a
-//! 2-vCPU host.
+//! 4.08 M-task week: 12–13 s wall and a 416 MiB peak RSS, end to end, on a
+//! shared 2-vCPU host.
 
 use odx::net::kbps_to_gbps;
 use odx::telemetry::{Observers, Registry};
