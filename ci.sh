@@ -22,6 +22,25 @@ for t in tests/*.rs; do
 done
 echo "all $(ls tests/*.rs | wc -l) root test files registered"
 
+echo "== vendor guard: every vendor/* stub is a workspace dependency some crate uses =="
+# The stubs are workspace members, so one that lost its last user still
+# builds and tests green; this step makes it fail instead.
+for d in vendor/*/; do
+  name="$(basename "$d")"
+  if ! grep -q "^$name = { path = \"vendor/$name\"" Cargo.toml; then
+    echo "vendor/$name is not named in [workspace.dependencies]" >&2
+    exit 1
+  fi
+done
+vendored="$(sed -n 's|^\([a-z0-9_-]*\) = { path = "vendor/.*|\1|p' Cargo.toml)"
+for name in $vendored; do
+  if ! grep -q "^$name = { workspace = true }" crates/*/Cargo.toml; then
+    echo "vendored $name is not a dependency of any crates/*/Cargo.toml" >&2
+    exit 1
+  fi
+done
+echo "all $(echo $vendored | wc -w) vendored stubs named and used"
+
 echo "== cargo build --release =="
 cargo build --release
 

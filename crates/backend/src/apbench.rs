@@ -15,12 +15,11 @@ use odx_smartap::ApModel;
 use odx_stats::Ecdf;
 use odx_telemetry::{Lifecycle, LifecycleReport, Observers, Registry, Stage, TaskEnd};
 use odx_trace::{PopularityClass, SampledRequest};
-use serde::Serialize;
 
 use crate::{ApContext, CloudContentState, ExecCtx, ProxyBackend, ProxyRequest, SmartApBackend};
 
 /// One replayed task.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ApTaskRecord {
     /// Which AP replayed it.
     pub ap: ApModel,

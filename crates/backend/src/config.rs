@@ -3,14 +3,13 @@
 
 use odx_stats::dist::u01;
 use rand::Rng;
-use serde::Serialize;
 
 /// Tuning knobs shared by every proxy backend.
 ///
 /// These are the §6.2 evaluation-environment constants; `odx-odr` re-exports
 /// this struct as `ReplayConfig` for compatibility. Scenario presets override
 /// individual fields (see [`crate::ScenarioRegistry`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendConfig {
     /// Probability that residual network dynamics degrade a fetch — what is
     /// left of Bottleneck 1 after redirection (§6.2: "the remainder (9 %)

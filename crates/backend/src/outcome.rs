@@ -3,14 +3,13 @@
 use odx_faults::{FaultDomain, FaultKind, FaultPlan};
 use odx_p2p::FailureCause;
 use odx_sim::SimDuration;
-use serde::Serialize;
 
 /// What happened when a proxy served (or failed to serve) one request.
 ///
 /// One struct for every backend: the week replay, the §5.1 AP benchmark and
 /// the §6.2 ODR evaluation all read their figures out of these fields, so
 /// cross-proxy differences are attributable purely to routing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Outcome {
     /// Whether the download ultimately succeeded.
     pub success: bool,

@@ -8,11 +8,10 @@ use odx_stats::dist::u01;
 use odx_storage::{DeviceKind, FsKind};
 use odx_trace::{FileId, FileMeta, FileType, PopularityClass, Protocol, SampledRequest};
 use rand::Rng;
-use serde::Serialize;
 
 /// The user's smart AP, as reported through ODR's web form (§6.1 asks for
 /// "smart AP type, storage device and filesystem type").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ApContext {
     /// AP product.
     pub model: ApModel,
@@ -46,7 +45,7 @@ impl ApContext {
 }
 
 /// Everything a proxy backend needs to know about one request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProxyRequest {
     /// The user's home ISP.
     pub isp: Isp,

@@ -1,7 +1,7 @@
-//! DES hot-path benchmarks: event-queue churn (slab vs the preserved
-//! legacy implementation), one cloud week shard, and a full scenario × seed
-//! sweep. `ODX_BENCH_QUICK=1` (set by `ci.sh`) shrinks sample counts and
-//! scales so the suite doubles as a smoke test.
+//! DES hot-path benchmarks: event-queue churn (slab heap vs timing wheel),
+//! one cloud week shard, and a full scenario × seed sweep.
+//! `ODX_BENCH_QUICK=1` (set by `ci.sh`) shrinks sample counts and scales so
+//! the suite doubles as a smoke test.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -53,9 +53,6 @@ fn bench_event_queue_churn(c: &mut Criterion) {
     group.sample_size(if quick() { 2 } else { 10 });
     group.bench_function("event_queue_churn_slab", |b| {
         b.iter(|| black_box(churn!(EventQueue::with_capacity(n), n)))
-    });
-    group.bench_function("event_queue_churn_legacy", |b| {
-        b.iter(|| black_box(churn!(odx::sim::legacy::EventQueue::new(), n)))
     });
     group.bench_function("event_queue_churn_wheel", |b| {
         b.iter(|| black_box(churn!(TimingWheel::with_capacity(n), n)))

@@ -1440,19 +1440,13 @@ fn bench_report(opts: &Options) {
 
     let ops: usize = 120_000;
     let (slab_pops, slab_secs) = churn!(odx::sim::EventQueue::with_capacity(ops), ops);
-    let (legacy_pops, legacy_secs) = churn!(odx::sim::legacy::EventQueue::new(), ops);
     let (wheel_pops, wheel_secs) = churn!(odx::sim::TimingWheel::with_capacity(ops), ops);
-    assert_eq!(slab_pops, legacy_pops, "both queues must fire the same events");
     assert_eq!(slab_pops, wheel_pops, "the wheel must fire the same events");
     let slab_eps = slab_pops as f64 / slab_secs.max(1e-9);
-    let legacy_eps = legacy_pops as f64 / legacy_secs.max(1e-9);
     let wheel_eps = wheel_pops as f64 / wheel_secs.max(1e-9);
-    let speedup = slab_eps / legacy_eps;
     println!("  event-queue churn ({ops} schedules, ~60% cancels, {slab_pops} fired):");
     println!("    slab   queue  {slab_eps:>12.0} events/sec  ({slab_secs:.3}s)");
-    println!("    legacy queue  {legacy_eps:>12.0} events/sec  ({legacy_secs:.3}s)");
     println!("    timing wheel  {wheel_eps:>12.0} events/sec  ({wheel_secs:.3}s)");
-    println!("    speedup {speedup:.2}x (slab vs legacy)");
 
     let shard = run_sweep(&SweepSpec {
         scenarios: vec![opts.scenario.clone()],
@@ -1659,9 +1653,7 @@ fn bench_report(opts: &Options) {
         let json = format!(
             "{{\"event_queue_churn\":{{\"schedules\":{ops},\"fired\":{slab_pops},\
              \"slab\":{{\"secs\":{slab_secs},\"events_per_sec\":{slab_eps:.0}}},\
-             \"legacy\":{{\"secs\":{legacy_secs},\"events_per_sec\":{legacy_eps:.0}}},\
-             \"wheel\":{{\"secs\":{wheel_secs},\"events_per_sec\":{wheel_eps:.0}}},\
-             \"speedup\":{speedup:.2}}},\
+             \"wheel\":{{\"secs\":{wheel_secs},\"events_per_sec\":{wheel_eps:.0}}}}},\
              \"cloud_week\":{{\"scenario\":\"{}\",\"scale\":{},\"sim_events\":{},\
              \"secs\":{:.3},\"events_per_sec\":{:.0}}},\
              \"cloud_week_traced\":{{\"sample_every\":16,\"secs\":{:.3},\

@@ -1,7 +1,5 @@
 //! The policy trait, the policy registry, and the scenario-facing config.
 
-use serde::Serialize;
-
 use crate::{GdsfCache, LfuCache, LruCache, S3FifoCache, ShardedCache};
 
 /// A byte-budgeted cache replacement policy over `u64` keys.
@@ -63,7 +61,7 @@ pub trait CachePolicy: Send {
 }
 
 /// The built-in replacement policies, in listing order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Byte-budget LRU — the paper's pool model (the baseline).
     Lru,
@@ -128,7 +126,7 @@ impl std::fmt::Display for PolicyKind {
 
 /// What a scenario says about its content cache: which policy runs the
 /// pool, and across how many deterministic FxHash shards.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// The replacement policy.
     pub policy: PolicyKind,

@@ -1,6 +1,5 @@
 //! The four performance bottlenecks and their detectors.
 
-use serde::Serialize;
 use std::fmt;
 
 use crate::decision::OdrRequest;
@@ -8,7 +7,7 @@ use odx_net::HD_THRESHOLD_KBPS;
 use odx_trace::PopularityClass;
 
 /// The four bottlenecks of §1's key results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bottleneck {
     /// Impeded cloud fetches: cross-ISP path, low access bandwidth, or
     /// cloud upload exhaustion.

@@ -2,7 +2,6 @@
 
 use odx_net::Isp;
 use odx_trace::{PopularityClass, Protocol};
-use serde::Serialize;
 use std::fmt;
 
 use crate::Bottleneck;
@@ -12,7 +11,7 @@ pub use odx_backend::ApContext;
 /// Everything ODR knows about one request: the file's popularity (from the
 /// content-DB query) and the user's auxiliary information (from the web
 /// form / cookie).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OdrRequest {
     /// Popularity class of the requested file (content-DB lookup).
     pub popularity: PopularityClass,
@@ -30,7 +29,7 @@ pub struct OdrRequest {
 }
 
 /// Where ODR routes the request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Decision {
     /// Download directly on the user's device from the original source
     /// (highly popular P2P files: the swarm outperforms the cloud, and the
@@ -62,7 +61,7 @@ impl fmt::Display for Decision {
 }
 
 /// A decision plus the reasoning that produced it.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Verdict {
     /// The routing decision.
     pub decision: Decision,

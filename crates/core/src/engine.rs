@@ -1,14 +1,13 @@
 //! The Figure 15 decision state machine.
 
 use odx_trace::PopularityClass;
-use serde::Serialize;
 
 use crate::decision::{Decision, OdrRequest, Verdict};
 use crate::Bottleneck;
 
 /// Tunables of the decision procedure (§6.1's hard-coded thresholds, made
 /// explicit).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OdrConfig {
     /// Below this access bandwidth a highly popular download is handed to
     /// the smart AP (the user's device gains nothing from running it, and

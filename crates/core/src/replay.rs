@@ -19,7 +19,6 @@ use odx_sim::{RngFactory, SimDuration};
 use odx_stats::Ecdf;
 use odx_telemetry::{Lifecycle, LifecycleReport, Observers, Registry, Stage, TaskEnd};
 use odx_trace::{PopularityClass, SampledRequest};
-use serde::Serialize;
 
 use crate::decision::{ApContext, Decision, OdrRequest, Verdict};
 use crate::OdrEngine;
@@ -29,7 +28,7 @@ use crate::OdrEngine;
 pub use odx_backend::BackendConfig as ReplayConfig;
 
 /// One evaluated task.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OdrTask {
     /// The replayed request.
     pub request: SampledRequest,

@@ -1,7 +1,6 @@
 //! ISPs and the user population's ISP mix.
 
 use rand::Rng;
-use serde::Serialize;
 use std::fmt;
 
 use odx_stats::dist::u01;
@@ -11,7 +10,7 @@ use odx_stats::dist::u01;
 /// The four majors are where Xuanfeng deploys uploading servers (§2.1);
 /// `Other` collects the long tail of small ISPs whose users always cross the
 /// ISP barrier when fetching from the cloud.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Isp {
     /// China Unicom — the ISP the §5.1 benchmark links belong to.
     Unicom,

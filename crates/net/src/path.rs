@@ -1,9 +1,7 @@
 //! Network paths: capacity composition along a transfer route.
 
-use serde::Serialize;
-
 /// One capacity-bearing segment of a path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Segment {
     /// The user's (or proxy's) last-mile access link.
     Access {
@@ -56,7 +54,7 @@ impl Segment {
 /// A transfer path: an ordered list of segments. Steady-state throughput is
 /// the minimum segment capacity (single-flow fluid model); which segment is
 /// the minimum identifies the bottleneck the paper's analysis names.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Path {
     segments: Vec<Segment>,
 }

@@ -2,12 +2,11 @@
 
 use odx_stats::dist::{u01, Dist, LogNormal};
 use rand::Rng;
-use serde::Serialize;
 
 use crate::{FailureCause, SourceOutcome};
 
 /// Calibration constants for [`HttpFtpModel`].
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HttpFtpConfig {
     /// Failure probability floor (well-run servers).
     pub fail_p_min: f64,

@@ -42,10 +42,8 @@ mod swarm;
 pub use httpftp::{HttpFtpConfig, HttpFtpModel};
 pub use swarm::{SwarmConfig, SwarmModel};
 
-use serde::Serialize;
-
 /// Why a pre-download attempt failed (§5.2 taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureCause {
     /// The P2P swarm had no (or too few) seeds and progress stagnated past
     /// the timeout. 86 % of smart-AP failures.
@@ -69,7 +67,7 @@ impl std::fmt::Display for FailureCause {
 }
 
 /// Outcome of one pre-download attempt from a data source.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SourceOutcome {
     /// The source can serve; steady-state rate in KBps (before any proxy- or
     /// storage-side caps).

@@ -2,12 +2,11 @@
 
 use odx_stats::dist::{u01, Dist, LogNormal};
 use rand::Rng;
-use serde::Serialize;
 
 use crate::{FailureCause, SourceOutcome};
 
 /// Calibration constants for [`SwarmModel`].
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SwarmConfig {
     /// Maximum per-attempt failure probability (files nobody requests).
     pub fail_p_max: f64,

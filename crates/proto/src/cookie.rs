@@ -83,14 +83,13 @@ pub fn percent_decode(s: &str) -> Option<String> {
 mod tests {
     use super::*;
     use crate::http::Method;
-    use bytes::Bytes;
 
     fn req_with_cookie(value: &str) -> Request {
         Request {
             method: Method::Get,
             target: "/".into(),
             headers: vec![("cookie".into(), value.into())],
-            body: Bytes::new(),
+            body: Vec::new(),
         }
     }
 

@@ -5,11 +5,10 @@
 //! chunked encoding, pipelining, TLS — the ODR service is a tiny
 //! JSON-over-POST API.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 
-/// Upper bound on header section size (DoS guard).
+/// Upper bound on the start line plus header section (DoS guard).
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Upper bound on body size (DoS guard).
 const MAX_BODY_BYTES: usize = 1024 * 1024;
@@ -52,7 +51,7 @@ pub struct Request {
     /// Headers as received (names lowercased).
     pub headers: Vec<(String, String)>,
     /// Request body.
-    pub body: Bytes,
+    pub body: Vec<u8>,
 }
 
 impl Request {
@@ -77,9 +76,9 @@ impl Request {
     /// connection cleanly before sending anything.
     pub fn read_from(stream: impl Read) -> Result<Option<Request>, HttpError> {
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).map_err(HttpError::io)?;
-        if n == 0 {
+        let mut budget = MAX_HEADER_BYTES;
+        let line = read_head_line(&mut reader, &mut budget)?;
+        if line.is_empty() {
             return Ok(None);
         }
         let mut parts = line.trim_end().split(' ');
@@ -94,14 +93,8 @@ impl Request {
         }
 
         let mut headers = Vec::new();
-        let mut header_bytes = 0;
         loop {
-            let mut hline = String::new();
-            reader.read_line(&mut hline).map_err(HttpError::io)?;
-            header_bytes += hline.len();
-            if header_bytes > MAX_HEADER_BYTES {
-                return Err(HttpError::bad("headers too large"));
-            }
+            let hline = read_head_line(&mut reader, &mut budget)?;
             let trimmed = hline.trim_end();
             if trimmed.is_empty() {
                 break;
@@ -122,18 +115,18 @@ impl Request {
         }
         let mut body = vec![0u8; length];
         reader.read_exact(&mut body).map_err(HttpError::io)?;
-        Ok(Some(Request { method, target, headers, body: Bytes::from(body) }))
+        Ok(Some(Request { method, target, headers, body }))
     }
 
     /// Serialize for sending (client side).
     pub fn write_to(&self, mut w: impl Write) -> std::io::Result<()> {
-        let mut buf = BytesMut::new();
-        buf.put_slice(format!("{} {} HTTP/1.1\r\n", self.method, self.target).as_bytes());
+        let mut buf = Vec::new();
+        buf.extend_from_slice(format!("{} {} HTTP/1.1\r\n", self.method, self.target).as_bytes());
         for (name, value) in &self.headers {
-            buf.put_slice(format!("{name}: {value}\r\n").as_bytes());
+            buf.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
         }
-        buf.put_slice(format!("content-length: {}\r\n\r\n", self.body.len()).as_bytes());
-        buf.put_slice(&self.body);
+        buf.extend_from_slice(format!("content-length: {}\r\n\r\n", self.body.len()).as_bytes());
+        buf.extend_from_slice(&self.body);
         w.write_all(&buf)
     }
 }
@@ -148,7 +141,7 @@ pub struct Response {
     /// Additional headers (e.g. `Set-Cookie`).
     pub extra_headers: Vec<(String, String)>,
     /// Response body.
-    pub body: Bytes,
+    pub body: Vec<u8>,
 }
 
 impl Response {
@@ -212,23 +205,23 @@ impl Response {
 
     /// Serialize onto a stream.
     pub fn write_to(&self, mut w: impl Write) -> std::io::Result<()> {
-        let mut buf = BytesMut::new();
-        buf.put_slice(format!("HTTP/1.1 {} {}\r\n", self.status, self.reason()).as_bytes());
-        buf.put_slice(format!("content-type: {}\r\n", self.content_type).as_bytes());
-        buf.put_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
+        let mut buf = Vec::new();
+        buf.extend_from_slice(format!("HTTP/1.1 {} {}\r\n", self.status, self.reason()).as_bytes());
+        buf.extend_from_slice(format!("content-type: {}\r\n", self.content_type).as_bytes());
+        buf.extend_from_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
         for (name, value) in &self.extra_headers {
-            buf.put_slice(format!("{name}: {value}\r\n").as_bytes());
+            buf.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
         }
-        buf.put_slice(b"connection: close\r\n\r\n");
-        buf.put_slice(&self.body);
+        buf.extend_from_slice(b"connection: close\r\n\r\n");
+        buf.extend_from_slice(&self.body);
         w.write_all(&buf)
     }
 
     /// Parse a response from a stream (client side).
     pub fn read_from(stream: impl Read) -> Result<Response, HttpError> {
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        reader.read_line(&mut line).map_err(HttpError::io)?;
+        let mut budget = MAX_HEADER_BYTES;
+        let line = read_head_line(&mut reader, &mut budget)?;
         let mut parts = line.trim_end().split(' ');
         let version = parts.next().unwrap_or("");
         if !version.starts_with("HTTP/1.") {
@@ -240,8 +233,7 @@ impl Response {
             .ok_or_else(|| HttpError::bad("bad status code"))?;
         let mut length = 0usize;
         loop {
-            let mut hline = String::new();
-            reader.read_line(&mut hline).map_err(HttpError::io)?;
+            let hline = read_head_line(&mut reader, &mut budget)?;
             let trimmed = hline.trim_end();
             if trimmed.is_empty() {
                 break;
@@ -258,13 +250,22 @@ impl Response {
         }
         let mut body = vec![0u8; length];
         reader.read_exact(&mut body).map_err(HttpError::io)?;
-        Ok(Response {
-            status,
-            content_type: "application/json",
-            extra_headers: Vec::new(),
-            body: Bytes::from(body),
-        })
+        Ok(Response { status, content_type: "application/json", extra_headers: Vec::new(), body })
     }
+}
+
+/// Read one line of a message's start line and header section, charged to
+/// `budget` (the bytes the head may still use). A line that runs past the
+/// budget fails as "headers too large" after buffering at most `budget`
+/// bytes of it. A stream that ends mid-line yields the partial line.
+fn read_head_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpError> {
+    let mut line = String::new();
+    let n = reader.by_ref().take(*budget as u64).read_line(&mut line).map_err(HttpError::io)?;
+    if n == *budget && !line.ends_with('\n') {
+        return Err(HttpError::bad("headers too large"));
+    }
+    *budget -= n;
+    Ok(line)
 }
 
 /// Errors from HTTP parsing/IO.
@@ -345,7 +346,7 @@ mod tests {
             method: Method::Post,
             target: "/decide".into(),
             headers: vec![("host".into(), "odr.thucloud.com".into())],
-            body: Bytes::from_static(b"{\"x\":1}"),
+            body: b"{\"x\":1}".to_vec(),
         };
         let mut wire = Vec::new();
         req.write_to(&mut wire).unwrap();
@@ -369,6 +370,60 @@ mod tests {
     fn oversized_body_rejected() {
         let raw = format!("POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
         assert!(Request::read_from(raw.as_bytes()).is_err());
+    }
+
+    /// A peer that sends `prefix` and then `A`s with no newline, counting
+    /// the bytes the parser pulls. The `A`s stop after 1 MiB, so a parser
+    /// with no line limit fails this test instead of hanging it.
+    struct Flood<R> {
+        inner: R,
+        consumed: usize,
+    }
+
+    impl<R: Read> Read for Flood<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.consumed += n;
+            Ok(n)
+        }
+    }
+
+    fn flood(prefix: &'static [u8]) -> Flood<impl Read> {
+        Flood { inner: prefix.chain(std::io::repeat(b'A').take(1 << 20)), consumed: 0 }
+    }
+
+    /// The head budget plus one read-ahead `BufReader` buffer.
+    const MAX_CONSUMED: usize = MAX_HEADER_BYTES + 8 * 1024;
+
+    fn assert_too_large<T: fmt::Debug>(result: Result<T, HttpError>, consumed: usize) {
+        match result {
+            Err(HttpError::Bad(m)) => assert_eq!(m, "headers too large"),
+            other => panic!("expected headers too large, got {other:?}"),
+        }
+        assert!(consumed <= MAX_CONSUMED, "read {consumed} bytes before failing");
+    }
+
+    #[test]
+    fn endless_request_line_is_cut_off() {
+        let mut peer = flood(b"GET /");
+        let result = Request::read_from(&mut peer);
+        assert_too_large(result, peer.consumed);
+    }
+
+    #[test]
+    fn endless_header_line_is_cut_off() {
+        let mut peer = flood(b"POST /decide HTTP/1.1\r\nhost: odr\r\nx-pad: ");
+        let result = Request::read_from(&mut peer);
+        assert_too_large(result, peer.consumed);
+    }
+
+    #[test]
+    fn endless_response_lines_are_cut_off() {
+        for prefix in [&b"HTTP/1.1 200"[..], &b"HTTP/1.1 200 OK\r\nx-pad: "[..]] {
+            let mut peer = flood(prefix);
+            let result = Response::read_from(&mut peer);
+            assert_too_large(result, peer.consumed);
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   parser (no external codec crates).
 //! * [`http`] — an HTTP/1.1 subset: request/response parsing and writing
 //!   with `Content-Length` bodies.
-//! * [`server`] — a blocking TCP server on a crossbeam-channel worker pool
-//!   with graceful shutdown.
+//! * [`server`] — a blocking TCP server whose worker threads each accept
+//!   directly from the shared listener, with graceful shutdown.
 //! * [`client`] — a tiny blocking HTTP client for tests and examples.
 //! * [`cookie`] — §6.1's auxiliary-information cookie, so users don't
 //!   re-enter their ISP/bandwidth/AP details on every request.

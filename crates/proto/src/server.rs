@@ -1,8 +1,13 @@
 //! A blocking TCP server on a worker thread pool.
+//!
+//! Every worker owns a clone of the listening socket and accepts from it
+//! directly, so a connection goes from the kernel's accept queue straight
+//! to an idle worker. When every worker is busy, new connections wait in
+//! the listen backlog.
 
-use crossbeam::channel::{bounded, Sender};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -29,7 +34,6 @@ where
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -40,35 +44,19 @@ impl Server {
         assert!(workers > 0, "need at least one worker");
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        // A short accept timeout lets the accept loop observe shutdown.
-        listener.set_nonblocking(false)?;
+        let listeners =
+            (0..workers).map(|_| listener.try_clone()).collect::<io::Result<Vec<_>>>()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let handler = Arc::new(handler);
-
-        let (tx, rx) = bounded::<TcpStream>(64);
-        let worker_handles: Vec<JoinHandle<()>> = (0..workers)
-            .map(|_| {
-                let rx = rx.clone();
+        let workers = listeners
+            .into_iter()
+            .map(|listener| {
+                let shutdown = Arc::clone(&shutdown);
                 let handler = Arc::clone(&handler);
-                std::thread::spawn(move || {
-                    while let Ok(stream) = rx.recv() {
-                        serve_connection(stream, handler.as_ref());
-                    }
-                })
+                std::thread::spawn(move || accept_loop(listener, &shutdown, handler.as_ref()))
             })
             .collect();
-
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_thread = std::thread::spawn(move || {
-            accept_loop(listener, tx, accept_shutdown);
-        });
-
-        Ok(Server {
-            addr: local,
-            shutdown,
-            accept_thread: Some(accept_thread),
-            workers: worker_handles,
-        })
+        Ok(Server { addr: local, shutdown, workers })
     }
 
     /// The bound address.
@@ -76,17 +64,18 @@ impl Server {
         self.addr
     }
 
-    /// Stop accepting, drain the workers, and join all threads.
+    /// Stop accepting, let in-flight requests finish, and join all workers.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Poke the accept loop so it notices the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        // Each worker leaves on the first connection it accepts after the
+        // flag is set, so one poke per worker wakes them all — a worker
+        // busy in a handler takes its poke from the backlog when it is done.
+        for _ in &self.workers {
+            let _ = TcpStream::connect(self.addr);
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -100,23 +89,17 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, tx: Sender<TcpStream>, shutdown: Arc<AtomicBool>) {
+fn accept_loop(listener: TcpListener, shutdown: &AtomicBool, handler: &impl Handler) {
     for stream in listener.incoming() {
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match stream {
-            Ok(s) => {
-                let _ = s.set_read_timeout(Some(Duration::from_secs(10)));
-                let _ = s.set_write_timeout(Some(Duration::from_secs(10)));
-                if tx.send(s).is_err() {
-                    break;
-                }
-            }
-            Err(_) => continue,
+        if let Ok(s) = stream {
+            let _ = s.set_read_timeout(Some(Duration::from_secs(10)));
+            let _ = s.set_write_timeout(Some(Duration::from_secs(10)));
+            serve_connection(s, handler);
         }
     }
-    // Dropping tx disconnects the channel; workers drain and exit.
 }
 
 fn serve_connection(stream: TcpStream, handler: &impl Handler) {
@@ -125,7 +108,9 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler) {
         Err(_) => return,
     };
     let response = match Request::read_from(read_half) {
-        Ok(Some(req)) => handler.handle(req),
+        // A panicking handler costs its request a 500, not the pool a worker.
+        Ok(Some(req)) => catch_unwind(AssertUnwindSafe(|| handler.handle(req)))
+            .unwrap_or_else(|_| Response::error(500, "handler panicked")),
         Ok(None) => return,
         Err(e) => Response::error(400, &e.to_string()),
     };
@@ -190,6 +175,51 @@ mod tests {
         let resp = Response::read_from(&stream).unwrap();
         assert_eq!(resp.status, 400);
         server.shutdown();
+    }
+
+    #[test]
+    fn panicking_handler_answers_500_and_keeps_its_worker() {
+        let server = Server::bind("127.0.0.1:0", 2, |req: Request| {
+            if req.path() == "/boom" {
+                panic!("handler failure under test");
+            }
+            Response::text("ok")
+        })
+        .expect("bind");
+        let addr = server.addr();
+        // Twice as many panics as workers: a worker lost to the first would
+        // leave nobody to answer the rest.
+        for _ in 0..4 {
+            assert_eq!(client::get(addr, "/boom").unwrap().status, 500);
+        }
+        let ok = client::get(addr, "/ok").unwrap();
+        assert_eq!(ok.status, 200);
+        assert_eq!(&ok.body[..], b"ok");
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_waits_out_a_slow_handler_and_releases_the_port() {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let server = Server::bind("127.0.0.1:0", 2, move |req: Request| {
+            if req.path() == "/slow" {
+                entered_tx.send(()).unwrap();
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            Response::text("done")
+        })
+        .expect("bind");
+        let addr = server.addr();
+        let slow = std::thread::spawn(move || client::get(addr, "/slow").unwrap());
+        entered.recv().unwrap();
+        // One worker is inside the handler: the idle one takes a poke now,
+        // the busy one takes the other when its request is answered.
+        server.shutdown();
+        let resp = slow.join().unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(&resp.body[..], b"done");
+        let again = Server::bind(&addr.to_string(), 1, |_req: Request| Response::text("ok"));
+        assert!(again.is_ok());
     }
 
     #[test]

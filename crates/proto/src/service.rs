@@ -12,9 +12,8 @@
 //! Like the deployed prototype at `odr.thucloud.com`, the service "never
 //! delivers file contents by itself" — it is pure control plane.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use odx_odr::OdrEngine;
 use odx_trace::{Catalog, PopularityClass};
@@ -67,7 +66,7 @@ impl OdrService {
     /// Populate the directory from a catalog, marking files cached with the
     /// given predicate.
     pub fn load_catalog(&self, catalog: &Catalog, cached: impl Fn(u32) -> bool) {
-        let mut dir = self.directory.write();
+        let mut dir = self.directory_mut();
         for (i, f) in catalog.files().iter().enumerate() {
             dir.insert(
                 f.id.to_string(),
@@ -78,18 +77,29 @@ impl OdrService {
 
     /// Register or update a single file.
     pub fn upsert(&self, id_hex: &str, popularity: PopularityClass, cached: bool) {
-        self.directory.write().insert(id_hex.to_owned(), DirectoryEntry { popularity, cached });
+        self.directory_mut().insert(id_hex.to_owned(), DirectoryEntry { popularity, cached });
+    }
+
+    /// The directory, read-locked. Every write inserts whole rows, so a
+    /// panic under the lock leaves nothing torn: poisoning is ignored.
+    fn directory(&self) -> RwLockReadGuard<'_, HashMap<String, DirectoryEntry>> {
+        self.directory.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The directory, write-locked (poisoning ignored, as for reads).
+    fn directory_mut(&self) -> RwLockWriteGuard<'_, HashMap<String, DirectoryEntry>> {
+        self.directory.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of known files.
     pub fn directory_len(&self) -> usize {
-        self.directory.read().len()
+        self.directory().len()
     }
 
     /// Look up the directory entry for a source link by scanning for a
     /// 32-hex-digit content id in it (how the prototype keys its DB).
     fn lookup(&self, link: &str) -> DirectoryEntry {
-        let dir = self.directory.read();
+        let dir = self.directory();
         extract_id(link)
             .and_then(|id| dir.get(&id).copied())
             .unwrap_or(DirectoryEntry { popularity: PopularityClass::Unpopular, cached: false })
@@ -120,7 +130,7 @@ impl OdrService {
             }
             (Method::Get, path) if path.starts_with("/popularity/") => {
                 let id = path.trim_start_matches("/popularity/");
-                let dir = self.directory.read();
+                let dir = self.directory();
                 match dir.get(id) {
                     Some(entry) => Response::json(
                         Json::obj([
@@ -382,8 +392,7 @@ mod tests {
                     "ap": {{"model": "miwifi", "device": "sata-hdd", "fs": "ext4"}}}}"#,
                 id_hex(0xabc)
             )
-            .into_bytes()
-            .into(),
+            .into_bytes(),
         });
         assert_eq!(first.status, 200);
         let set_cookie = first
@@ -400,9 +409,7 @@ mod tests {
             method: Method::Post,
             target: "/decide".into(),
             headers: vec![("cookie".into(), cookie_value)],
-            body: format!(r#"{{"link": "magnet:?xt=urn:btih:{}"}}"#, id_hex(0xabc))
-                .into_bytes()
-                .into(),
+            body: format!(r#"{{"link": "magnet:?xt=urn:btih:{}"}}"#, id_hex(0xabc)).into_bytes(),
         });
         assert_eq!(second.status, 200, "{:?}", second.body);
         let v = Json::parse(std::str::from_utf8(&second.body).unwrap()).unwrap();
@@ -423,8 +430,7 @@ mod tests {
                 r#"{{"link": "magnet:?xt=urn:btih:{}", "isp": "telecom", "access_kbps": 900.0}}"#,
                 id_hex(0xabc)
             )
-            .into_bytes()
-            .into(),
+            .into_bytes(),
         });
         let v = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         // With the body's healthy context the decision is a plain cloud

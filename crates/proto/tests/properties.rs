@@ -1,7 +1,7 @@
 //! Property-based tests for the wire formats.
 
 use odx_proto::cookie::{percent_decode, percent_encode};
-use odx_proto::http::{Method, Request};
+use odx_proto::http::{Method, Request, Response};
 use odx_proto::Json;
 use proptest::prelude::*;
 
@@ -59,7 +59,7 @@ proptest! {
             method: if post { Method::Post } else { Method::Get },
             target: "/decide".into(),
             headers: vec![("host".into(), host.clone())],
-            body: body.clone().into(),
+            body: body.clone(),
         };
         let mut wire = Vec::new();
         req.write_to(&mut wire).unwrap();
@@ -73,5 +73,25 @@ proptest! {
     #[test]
     fn http_parser_is_total(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = Request::read_from(&bytes[..]);
+    }
+
+    /// The response parser never panics on arbitrary bytes.
+    #[test]
+    fn http_response_parser_is_total(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+        let _ = Response::read_from(&bytes[..]);
+    }
+
+    /// HTTP responses round-trip status and body through the wire format.
+    #[test]
+    fn http_response_round_trips(
+        body in prop::collection::vec(any::<u8>(), 0..512),
+        status in 100u16..600,
+    ) {
+        let resp = Response { status, body: body.clone(), ..Response::text("") };
+        let mut wire = Vec::new();
+        resp.write_to(&mut wire).unwrap();
+        let parsed = Response::read_from(&wire[..]).expect("own output parses");
+        prop_assert_eq!(parsed.status, status);
+        prop_assert_eq!(&parsed.body[..], &body[..]);
     }
 }

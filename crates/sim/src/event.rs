@@ -13,8 +13,7 @@
 //! and discard for free. Because firing an event also bumps the slot's
 //! generation, cancelling an already-fired id is *structurally* a no-op:
 //! the stale generation can never match again, so it returns `false` and
-//! leaves no permanent tombstone behind (the pre-slab implementation,
-//! preserved in [`crate::legacy`], leaked one and mis-reported `len`).
+//! leaves no permanent tombstone behind.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -338,46 +337,5 @@ mod tests {
         q.schedule(t(6) + SimDuration::from_millis(0), 3);
         assert_eq!(q.pop(), Some((t(5), 2)));
         assert_eq!(q.pop(), Some((t(6), 3)));
-    }
-
-    #[test]
-    fn matches_legacy_pop_order_under_heavy_cancellation() {
-        // ≥50 % cancels: the slab queue and the preserved legacy queue must
-        // agree on the exact pop sequence (same times, same payloads).
-        let mut new_q = EventQueue::new();
-        let mut old_q = crate::legacy::EventQueue::new();
-        let mut new_ids = Vec::new();
-        let mut old_ids = Vec::new();
-        // Deterministic pseudo-random schedule times via an LCG.
-        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-        let mut step = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            x >> 33
-        };
-        for i in 0..4000u64 {
-            let at = t(step() % 10_000);
-            new_ids.push(new_q.schedule(at, i));
-            old_ids.push(old_q.schedule(at, i));
-        }
-        // Cancel ~60 % of them, interleaved with partial pops. Return
-        // values are *not* compared: a cancel racing a completed pop is
-        // exactly where the legacy queue mis-reports success (its
-        // preserved bug); only the pop sequence must match.
-        for (i, (nid, oid)) in new_ids.iter().zip(&old_ids).enumerate() {
-            if i % 5 != 0 && i % 5 != 3 {
-                new_q.cancel(*nid);
-                old_q.cancel(*oid);
-            }
-            if i % 97 == 0 {
-                assert_eq!(new_q.pop(), old_q.pop());
-            }
-        }
-        loop {
-            let (a, b) = (new_q.pop(), old_q.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 }

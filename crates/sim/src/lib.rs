@@ -12,8 +12,7 @@
 //! * [`EventQueue`] / [`Simulation`] — a binary-heap scheduler with a stable
 //!   FIFO tie-break so runs are bit-for-bit reproducible. Payloads live in a
 //!   generation-stamped slab, so cancellation is an O(1) array write and the
-//!   pop loop never hashes ([`legacy`] preserves the old `HashSet` design as
-//!   a benchmark baseline).
+//!   pop loop never hashes.
 //! * [`TimingWheel`] / [`Scheduler`] — a hierarchical timing wheel with O(1)
 //!   schedule that reproduces the heap's exact `(time, seq)` pop order, and
 //!   the enum that lets simulations pick either implementation at run time
@@ -60,7 +59,6 @@
 
 mod engine;
 mod event;
-mod event_legacy;
 pub mod fluid;
 mod fxhash;
 mod rng;
@@ -72,15 +70,8 @@ mod wheel;
 pub use engine::{Ctx, Simulation, World};
 pub use event::{EventId, EventQueue};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use wheel::{Scheduler, SchedulerKind, TimingWheel};
-
-/// The pre-slab event queue, kept in-tree as a benchmark/regression
-/// baseline — see [`legacy::EventQueue`] for why it must not be used in
-/// new code.
-pub mod legacy {
-    pub use crate::event_legacy::{EventId, EventQueue};
-}
 pub use rng::{named_seed, RngFactory, SimRng};
 pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};
 pub use token_bucket::TokenBucket;
+pub use wheel::{Scheduler, SchedulerKind, TimingWheel};

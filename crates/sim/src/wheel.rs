@@ -723,7 +723,7 @@ mod tests {
 
     #[test]
     fn wheel_matches_heap_under_heavy_cancellation() {
-        // The event.rs legacy-parity workload, replayed against the wheel.
+        // ≥50 % cancels interleaved with pops: same pops, same cancel results.
         let mut heap = EventQueue::new();
         let mut wheel = TimingWheel::new();
         let mut hids = Vec::new();

@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation engine's core invariants.
 
 use odx_sim::fluid::{max_min_rates, FlowSpec};
-use odx_sim::{EventQueue, OnlineStats, SimDuration, SimTime, TokenBucket};
+use odx_sim::{EventQueue, OnlineStats, SimDuration, SimTime, TimingWheel, TokenBucket};
 use proptest::prelude::*;
 
 proptest! {
@@ -49,37 +49,37 @@ proptest! {
         prop_assert_eq!(popped, expect);
     }
 
-    /// The slab queue pops the exact sequence the pre-slab (legacy) queue
-    /// did, under cancel-heavy churn (≥50 % of events cancelled) with pops
-    /// interleaved — the legacy implementation is the behavioural oracle
-    /// for everything except its preserved cancel-after-fire bug.
+    /// The slab queue and the timing wheel pop the exact same sequence and
+    /// agree on every `cancel` result under cancel-heavy churn (≥50 % of
+    /// events cancelled) with pops interleaved — the wheel is an independent
+    /// implementation of the same `(time, seq)` order, so each is the
+    /// other's behavioural oracle.
     #[test]
-    fn slab_queue_matches_legacy_oracle_under_churn(
+    fn slab_queue_matches_wheel_oracle_under_churn(
         times in prop::collection::vec(0u64..5_000, 1..300),
         cancels in prop::collection::vec(any::<bool>(), 300),
         pop_every in 2usize..9,
     ) {
         let mut slab = EventQueue::new();
-        let mut legacy = odx_sim::legacy::EventQueue::new();
+        let mut wheel = TimingWheel::new();
         let mut slab_ids = Vec::new();
-        let mut legacy_ids = Vec::new();
+        let mut wheel_ids = Vec::new();
         for (i, &t) in times.iter().enumerate() {
             let at = SimTime::from_millis(t);
             slab_ids.push(slab.schedule(at, i));
-            legacy_ids.push(legacy.schedule(at, i));
+            wheel_ids.push(wheel.schedule(at, i));
             // Cancel-heavy: the mask plus this unconditional arm cancels
             // well over half of all scheduled events.
             if cancels[i] || i % 2 == 0 {
                 let victim = (i * 7 + 3) % slab_ids.len();
-                slab.cancel(slab_ids[victim]);
-                legacy.cancel(legacy_ids[victim]);
+                prop_assert_eq!(slab.cancel(slab_ids[victim]), wheel.cancel(wheel_ids[victim]));
             }
             if i % pop_every == 0 {
-                prop_assert_eq!(slab.pop(), legacy.pop());
+                prop_assert_eq!(slab.pop(), wheel.pop());
             }
         }
         loop {
-            let (a, b) = (slab.pop(), legacy.pop());
+            let (a, b) = (slab.pop(), wheel.pop());
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;

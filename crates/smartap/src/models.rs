@@ -1,11 +1,10 @@
 //! The three benchmarked smart APs (Table 1).
 
 use odx_storage::{DeviceKind, FsKind};
-use serde::Serialize;
 use std::fmt;
 
 /// A smart AP's storage device plus the filesystem it runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StorageSetup {
     /// The attached/embedded storage device.
     pub device: DeviceKind,
@@ -14,7 +13,7 @@ pub struct StorageSetup {
 }
 
 /// The smart AP products studied in §5 (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ApModel {
     /// HiWiFi 1S: MT7620A @ 580 MHz, 128 MB RAM, SD card slot,
     /// 802.11 b/g/n @ 2.4 GHz. ≈ $20.

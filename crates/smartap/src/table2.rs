@@ -8,7 +8,6 @@
 //! is covered by `odx-backend`'s `SmartApBenchmark`.
 
 use odx_storage::{write_profile, DeviceKind, FsKind};
-use serde::Serialize;
 
 use crate::ApModel;
 
@@ -17,7 +16,7 @@ use crate::ApModel;
 pub const MAX_OFFERED_KBPS: f64 = odx_net::ADSL_PAYLOAD_KBPS;
 
 /// One Table 2 cell.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table2Row {
     /// AP whose CPU drives the (possible) FUSE path.
     pub ap: ApModel,

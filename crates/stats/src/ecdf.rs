@@ -1,6 +1,5 @@
 //! Empirical cumulative distribution functions.
 
-use serde::Serialize;
 use std::fmt;
 
 /// An empirical CDF over a finite sample. Construction sorts once; queries
@@ -12,7 +11,7 @@ pub struct Ecdf {
 
 /// Compact distribution summary, mirroring the statistics the paper quotes
 /// under each CDF figure (min / median / average / max, plus quartiles).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample count.
     pub count: usize,

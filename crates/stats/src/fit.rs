@@ -15,10 +15,8 @@
 //!
 //! Logarithms are base-10 throughout (matching the figures' axes).
 
-use serde::Serialize;
-
 /// Result of an ordinary-least-squares line fit `y = slope·x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LineFit {
     /// Fitted slope.
     pub slope: f64,
@@ -48,7 +46,7 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> LineFit {
 }
 
 /// A fitted rank-frequency model with the paper's goodness metric.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RankFit {
     /// Model coefficient `a` (the paper's a₁ / a₂; slope is `-a`).
     pub a: f64,

@@ -1,11 +1,10 @@
 //! Storage device models (§5.1 hardware).
 
-use serde::Serialize;
 use std::fmt;
 
 /// The storage devices used by the three benchmarked smart APs, plus the USB
 /// hard disk used in the Table 2 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// HiWiFi's embedded 8 GB SD card (max write/read 15/30 MBps).
     SdCard,

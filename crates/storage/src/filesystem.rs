@@ -1,10 +1,9 @@
 //! Filesystem write-path models.
 
-use serde::Serialize;
 use std::fmt;
 
 /// The filesystems in the Table 2 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FsKind {
     /// FAT/FAT32 — the only format HiWiFi accepts for its SD card.
     Fat,

@@ -23,8 +23,6 @@
 //! The burst/sustained constants below are calibrated so every Table 2 cell
 //! reproduces within a few percent; the unit tests pin each one.
 
-use serde::Serialize;
-
 use crate::{DeviceKind, FsKind};
 
 /// FUSE CPU cost in (MHz · seconds) per megabyte written: at 580 MHz this is
@@ -37,7 +35,7 @@ pub const TCP_WINDOW_BYTES: f64 = 14_608.0;
 
 /// A (device, filesystem) pair's write capability under the frequent
 /// small-write pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WriteProfile {
     /// Long-run sustainable write rate (MBps). The pre-download speed is
     /// `min(network rate, sustained)`.

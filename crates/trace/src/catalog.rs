@@ -2,12 +2,11 @@
 
 use odx_stats::dist::{u01, BoundedPareto, DiscretePowerLaw, Dist, LogNormal, LogUniform};
 use rand::Rng;
-use serde::Serialize;
 
 use crate::file::{FileId, FileMeta, FileType, PopularityClass, Protocol};
 
 /// Calibration knobs of the catalog generator. Defaults reproduce §3.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CatalogConfig {
     /// Number of unique files to generate.
     pub files: usize,

@@ -1,11 +1,10 @@
 //! File identities and static attributes.
 
-use serde::Serialize;
 use std::fmt;
 
 /// Content identity: stands in for the MD5 hash Xuanfeng uses for file-level
 /// deduplication (§2.1). Equal ids ⇒ identical content.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u128);
 
 impl fmt::Display for FileId {
@@ -15,7 +14,7 @@ impl fmt::Display for FileId {
 }
 
 /// Broad content type of a requested file (§3 "File type").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileType {
     /// Full-length videos — 75 % of requests, and the size-dominant class.
     Video,
@@ -43,7 +42,7 @@ impl fmt::Display for FileType {
 }
 
 /// File-transfer protocol of the original data source (§3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// BitTorrent swarms: 68 % of requested files.
     BitTorrent,
@@ -85,7 +84,7 @@ impl fmt::Display for Protocol {
 }
 
 /// The paper's popularity classes (§4.1 / Fig 10): requests per week.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PopularityClass {
     /// Fewer than 7 downloads per week — 93.2 % of files, 36 % of requests.
     Unpopular,
@@ -125,7 +124,7 @@ impl fmt::Display for PopularityClass {
 }
 
 /// Static attributes of one unique file in the catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FileMeta {
     /// Content identity (MD5 stand-in).
     pub id: FileId,

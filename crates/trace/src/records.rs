@@ -5,14 +5,13 @@
 
 use odx_net::Isp;
 use odx_sim::SimTime;
-use serde::Serialize;
 
 use crate::file::{FileType, Protocol};
 use crate::io::{FromTsv, ParseError, ToTsv};
 use odx_p2p::FailureCause;
 
 /// Workload-trace row: one user request (§3, part 1).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadRecord {
     /// User identifier.
     pub user_id: u32,
@@ -33,7 +32,7 @@ pub struct WorkloadRecord {
 }
 
 /// Pre-downloading-trace row: proxy-side performance (§3, part 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredownloadRecord {
     /// Start of the pre-downloading process.
     pub start: SimTime,
@@ -63,7 +62,7 @@ impl PredownloadRecord {
 }
 
 /// Fetching-trace row: user-side performance (§3, part 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FetchRecord {
     /// User identifier.
     pub user_id: u32,

@@ -8,14 +8,13 @@
 
 use odx_stats::dist::u01;
 use rand::Rng;
-use serde::Serialize;
 
 use crate::file::{FileType, PopularityClass, Protocol};
 use crate::{Catalog, Isp, Population, Workload};
 
 /// One sampled request, carrying exactly the fields §5.1 says the replay
 /// reuses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampledRequest {
     /// The sampled user's home ISP (always Unicom for the §5.1 benchmark
     /// sample; the user's real ISP for the §6.2 unbiased evaluation sample).

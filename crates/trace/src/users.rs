@@ -3,10 +3,9 @@
 use odx_net::{AccessModel, Isp, IspMix};
 use odx_stats::dist::u01;
 use rand::Rng;
-use serde::Serialize;
 
 /// One service user.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct User {
     /// The user's ISP (decides privileged-path eligibility).
     pub isp: Isp,

@@ -3,12 +3,11 @@
 use odx_sim::SimTime;
 use odx_stats::dist::u01;
 use rand::Rng;
-use serde::Serialize;
 
 use crate::{Catalog, Population};
 
 /// One offline-downloading request: who wants which file, when.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Index into the [`Population`].
     pub user: u32,
