@@ -108,27 +108,21 @@ diff "$SWEEP_TMP/j1/sweep.json" "$SWEEP_TMP/j4/sweep.json"
 diff "$SWEEP_TMP/j1/sweep.csv" "$SWEEP_TMP/j4/sweep.csv"
 echo "sweep snapshots identical"
 
-echo "== scheduler parity: heap vs timing wheel must be byte-identical =="
+echo "== scheduler golden: the timing wheel reproduces the heap-era sweep bytes =="
+# The golden sweep files were exported while a binary heap was the
+# default scheduler; the one scheduler left must match them byte for byte.
 cargo run --release -p odx-bench --bin repro -- sweep \
-  --scenario all --seeds 1 --jobs 1 --scale 0.002 --out "$SWEEP_TMP/heap"
-cargo run --release -p odx-bench --bin repro -- sweep \
-  --scenario all --seeds 1 --jobs 1 --scale 0.002 \
-  --set sim.scheduler=wheel --out "$SWEEP_TMP/wheel"
-diff "$SWEEP_TMP/heap/sweep.json" "$SWEEP_TMP/wheel/sweep.json"
-diff "$SWEEP_TMP/heap/sweep.csv" "$SWEEP_TMP/wheel/sweep.csv"
-echo "scheduler snapshots identical"
+  --scenario all --seeds 1 --jobs 1 --scale 0.002 --out "$SWEEP_TMP/all7"
+diff "$SWEEP_TMP/all7/sweep.json" tests/golden/sweep_all7_s2015_scale0002.json
+diff "$SWEEP_TMP/all7/sweep.csv" tests/golden/sweep_all7_s2015_scale0002.csv
+echo "sweep snapshots identical to the golden"
 # Scale 0.002 stays below one 65,536-arrival accounting window; at 0.02
 # (~80 k arrivals) the sim.queue_depth series crosses a window boundary.
 cargo run --release -p odx-bench --bin repro -- series \
   --scenario paper-default --seeds 1 --jobs 1 --scale 0.02 \
-  --out "$SWEEP_TMP/series-heap" > /dev/null
-cargo run --release -p odx-bench --bin repro -- series \
-  --scenario paper-default --seeds 1 --jobs 1 --scale 0.02 \
-  --set sim.scheduler=wheel --out "$SWEEP_TMP/series-wheel" > /dev/null
-diff "$SWEEP_TMP/series-heap/series.json" "$SWEEP_TMP/series-wheel/series.json"
-diff "$SWEEP_TMP/series-heap/series.csv" "$SWEEP_TMP/series-wheel/series.csv"
-diff "$SWEEP_TMP/series-heap/series.json" tests/golden/series_paper_default_s2015_scale002.json
-echo "series above one arrival window identical on both schedulers and to the golden"
+  --out "$SWEEP_TMP/series" > /dev/null
+diff "$SWEEP_TMP/series/series.json" tests/golden/series_paper_default_s2015_scale002.json
+echo "series above one arrival window identical to the golden"
 
 echo "== trace exports: the three TSVs and six Fig 8/9 CDF dumps match their checksums =="
 # Pinned before the per-task records became ledger columns: the exports
@@ -149,18 +143,13 @@ diff "$SWEEP_TMP/cc1/cache_compare.json" "$SWEEP_TMP/cc4/cache_compare.json"
 diff "$SWEEP_TMP/cc1/cache_compare.csv" "$SWEEP_TMP/cc4/cache_compare.csv"
 echo "cache-compare snapshots identical"
 
-echo "== resilience smoke: fault grid --jobs/scheduler invariant; zero-fault cell = baseline =="
+echo "== resilience smoke: fault grid --jobs invariant; zero-fault cell = baseline =="
 cargo run --release -p odx-bench --bin repro -- resilience \
   --scenario cache-pressure --seeds 1 --jobs 1 --scale 0.002 --out "$SWEEP_TMP/r1"
 cargo run --release -p odx-bench --bin repro -- resilience \
   --scenario cache-pressure --seeds 1 --jobs 4 --scale 0.002 --out "$SWEEP_TMP/r4"
 diff "$SWEEP_TMP/r1/resilience.json" "$SWEEP_TMP/r4/resilience.json"
 diff "$SWEEP_TMP/r1/resilience.csv" "$SWEEP_TMP/r4/resilience.csv"
-# Swapping the future-event list must not move a byte, faults included.
-cargo run --release -p odx-bench --bin repro -- resilience \
-  --scenario cache-pressure --seeds 1 --jobs 2 --scale 0.002 \
-  --set sim.scheduler=wheel --out "$SWEEP_TMP/rw"
-diff "$SWEEP_TMP/r1/resilience.json" "$SWEEP_TMP/rw/resilience.json"
 # The grid's zero-fault/no-retry cell must match a plain sweep of the
 # same scenario byte-for-byte (cell name aside): injection machinery off
 # is indistinguishable from injection machinery absent.

@@ -14,7 +14,6 @@ use odx_cache::{CacheConfig, PolicyKind};
 use odx_config::{ConfigError, Json, ScenarioSpec};
 use odx_faults::{FaultsConfig, RetryConfig, RetryKind};
 use odx_net::IspMix;
-use odx_sim::SchedulerKind;
 use odx_smartap::ApModel;
 use odx_storage::{DeviceKind, FsKind};
 
@@ -65,10 +64,6 @@ pub struct Scenario {
     /// The three-AP fleet used by the AP benchmark and ODR's round-robin
     /// AP assignment.
     pub ap_fleet: [ApContext; 3],
-    /// Which future-event list the DES runs on (`--set
-    /// sim.scheduler=wheel`). Purely a wall-clock knob: both schedulers
-    /// produce byte-identical exports, pinned under test.
-    pub scheduler: SchedulerKind,
     /// Virtual seconds between metric-series samples (`--set
     /// telemetry.series_interval_s=60`). Only consulted by runs that
     /// record a series; it never perturbs the simulated system.
@@ -88,14 +83,6 @@ impl Scenario {
                 "cache policy",
                 &spec.cache.policy,
                 PolicyKind::ALL.map(PolicyKind::name),
-            )
-        })?;
-        let scheduler = SchedulerKind::parse(&spec.sim.scheduler).ok_or_else(|| {
-            ConfigError::unknown(
-                "sim.scheduler",
-                "scheduler",
-                &spec.sim.scheduler,
-                SchedulerKind::ALL.map(SchedulerKind::name),
             )
         })?;
         let retry_kind = RetryKind::parse(&spec.retry.policy).ok_or_else(|| {
@@ -164,7 +151,6 @@ impl Scenario {
                 jitter: spec.retry.jitter,
             },
             ap_fleet: [fleet[0], fleet[1], fleet[2]],
-            scheduler,
             series_interval_s: spec.telemetry.series_interval_s,
         })
     }
@@ -200,7 +186,6 @@ impl Scenario {
             slot.device = ctx.device.name().to_owned();
             slot.fs = ctx.fs.name().to_owned();
         }
-        spec.sim.scheduler = self.scheduler.name().to_owned();
         spec.telemetry.series_interval_s = self.series_interval_s;
         spec
     }
@@ -546,12 +531,6 @@ mod tests {
         assert!(err.message.contains("did you mean `hiwifi`?"), "{err}");
 
         let mut spec = ScenarioSpec::baseline("x", "");
-        spec.sim.scheduler = "whel".into();
-        let err = Scenario::from_spec(&spec).unwrap_err();
-        assert_eq!(err.path, "sim.scheduler");
-        assert!(err.message.contains("did you mean `wheel`?"), "{err}");
-
-        let mut spec = ScenarioSpec::baseline("x", "");
         spec.retry.policy = "exp".into();
         let err = Scenario::from_spec(&spec).unwrap_err();
         assert_eq!(err.path, "retry.policy");
@@ -571,17 +550,6 @@ mod tests {
         let s = Scenario::from_spec(&spec).unwrap();
         assert!(s.faults.is_active());
         assert_eq!(s.retry.kind, RetryKind::Expo);
-    }
-
-    #[test]
-    fn every_preset_defaults_to_the_heap_scheduler() {
-        let reg = ScenarioRegistry::builtin();
-        for s in reg.all() {
-            assert_eq!(s.scheduler, SchedulerKind::Heap, "{} scheduler", s.name);
-        }
-        let mut spec = ScenarioSpec::baseline("x", "");
-        spec.sim.scheduler = "wheel".into();
-        assert_eq!(Scenario::from_spec(&spec).unwrap().scheduler, SchedulerKind::Wheel);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! DES hot-path benchmarks: event-queue churn (slab heap vs timing wheel),
-//! one cloud week shard, and a full scenario × seed sweep.
+//! DES hot-path benchmarks: event-queue churn on the timing wheel, one
+//! cloud week shard, and a full scenario × seed sweep.
 //! `ODX_BENCH_QUICK=1` (set by `ci.sh`) shrinks sample counts and scales so
 //! the suite doubles as a smoke test.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use odx::sim::{EventQueue, SimTime, TimingWheel};
+use odx::sim::{SimTime, TimingWheel};
 use odx::sweep::{run_sweep, SweepSpec};
 use odx::telemetry::TraceConfig;
 use odx::Study;
@@ -18,45 +18,33 @@ fn quick() -> bool {
 /// Deterministic churn workload: schedule with LCG-drawn times, cancel
 /// ~60 % of events, pop interleaved, then drain. Mirrors the `repro bench`
 /// subcommand so criterion and BENCH_pr3.json measure the same shape.
-macro_rules! churn {
-    ($queue:expr, $n:expr) => {{
-        let mut q = $queue;
-        let mut ids = Vec::with_capacity($n);
-        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-        let mut pops = 0u64;
-        let mut now = 0u64;
-        for i in 0..$n as u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ids.push(q.schedule(SimTime::from_millis(now + (x >> 33) % 1_000_000), i));
-            if i % 5 != 0 && i % 5 != 3 {
-                q.cancel(ids[((x >> 20) as usize) % ids.len()]);
-            }
-            if i % 7 == 0 {
-                if let Some((t, _)) = q.pop() {
-                    now = t.as_millis();
-                    pops += 1;
-                }
+fn churn(n: usize) -> u64 {
+    let mut q = TimingWheel::with_capacity(n);
+    let mut ids = Vec::with_capacity(n);
+    let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+    let mut pops = 0u64;
+    let mut now = 0u64;
+    for i in 0..n as u64 {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ids.push(q.schedule(SimTime::from_millis(now + (x >> 33) % 1_000_000), i));
+        if i % 5 != 0 && i % 5 != 3 {
+            q.cancel(ids[((x >> 20) as usize) % ids.len()]);
+        }
+        if i % 7 == 0 {
+            if let Some((t, _)) = q.pop() {
+                now = t.as_millis();
+                pops += 1;
             }
         }
-        while let Some((t, _)) = q.pop() {
-            now = t.as_millis();
-            pops += 1;
-        }
-        let _ = now;
-        pops
-    }};
+    }
+    pops + std::iter::from_fn(|| q.pop()).count() as u64
 }
 
 fn bench_event_queue_churn(c: &mut Criterion) {
     let n: usize = if quick() { 10_000 } else { 50_000 };
     let mut group = c.benchmark_group("des");
     group.sample_size(if quick() { 2 } else { 10 });
-    group.bench_function("event_queue_churn_slab", |b| {
-        b.iter(|| black_box(churn!(EventQueue::with_capacity(n), n)))
-    });
-    group.bench_function("event_queue_churn_wheel", |b| {
-        b.iter(|| black_box(churn!(TimingWheel::with_capacity(n), n)))
-    });
+    group.bench_function("event_queue_churn_wheel", |b| b.iter(|| black_box(churn(n))));
     group.finish();
 }
 
@@ -89,25 +77,6 @@ fn bench_cloud_week_shard(c: &mut Criterion) {
             })
         });
     }
-    // The same untraced shard on the timing wheel: the headline scheduler
-    // comparison criterion tracks alongside `repro bench --json`'s
-    // `full_week` section.
-    group.bench_function("cloud_week_shard_wheel", |b| {
-        b.iter(|| {
-            let mut scenario = Study::scenarios().get("paper-default").unwrap().clone();
-            scenario.scheduler = odx::sim::SchedulerKind::Wheel;
-            let report = run_sweep(&SweepSpec {
-                scenarios: vec![scenario],
-                seeds: vec![2015],
-                scale,
-                jobs: 1,
-                trace: None,
-                series_interval_ms: None,
-                progress: false,
-            });
-            black_box(report.total_events())
-        })
-    });
     group.finish();
 }
 

@@ -9,7 +9,7 @@ use odx::odr::{ApContext, OdrEngine, OdrRequest};
 use odx::proto::http::Request;
 use odx::proto::Json;
 use odx::sim::fluid::{max_min_rates, FlowSpec};
-use odx::sim::{EventQueue, SimTime};
+use odx::sim::{SimTime, TimingWheel};
 use odx::smartap::ApModel;
 use odx::stats::dist::{Dist, LogNormal, Zipf};
 use odx::stats::Ecdf;
@@ -33,7 +33,7 @@ fn bench_decision_engine(c: &mut Criterion) {
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("micro/event_queue_10k_schedule_pop", |b| {
         b.iter(|| {
-            let mut q = EventQueue::new();
+            let mut q = TimingWheel::new();
             for i in 0..10_000u64 {
                 q.schedule(SimTime::from_millis(i * 7919 % 100_000), i);
             }

@@ -90,7 +90,7 @@
 //! `telemetry.series_interval_s` of *virtual* time (default one sim-hour,
 //! `--set telemetry.series_interval_s=N`) and exports the merged
 //! `(scenario, seed)`-keyed set as byte-stable JSON + CSV — identical for
-//! any `--jobs`, any scheduler, and same-seed reruns. `profile` replays
+//! any `--jobs` and same-seed reruns. `profile` replays
 //! with the per-handler *wall* profiler attached and prints the
 //! nondeterministic breakdown (per-event-kind handler seconds, scheduler
 //! pop cost, `other` residual) whose shares sum to exactly 100 % of
@@ -1210,7 +1210,7 @@ fn cache_compare(opts: &Options) {
 /// summarize the grid. `--policy none|fixed|expo` narrows the retry axis
 /// to baseline-vs-that-policy. The deterministic exports
 /// (`resilience.{json,csv}` under `--out DIR`) are byte-identical for
-/// any `--jobs` value and either scheduler.
+/// any `--jobs` value.
 fn resilience_cmd(opts: &Options) {
     use odx::faults::RetryKind;
     use odx::sweep::{resilience_variants, run_sweep, SweepSpec};
@@ -1319,7 +1319,7 @@ fn resilience_cmd(opts: &Options) {
 /// seed)`-keyed set as byte-stable JSON + CSV. The cadence is the active
 /// scenario's `telemetry.series_interval_s` (default one sim-hour,
 /// `--set telemetry.series_interval_s=N`); the exports are byte-identical
-/// for any `--jobs`, either scheduler, and same-seed reruns. `--out
+/// for any `--jobs` and same-seed reruns. `--out
 /// series.csv` names the CSV (sibling `.json` alongside); `--out DIR`
 /// writes `DIR/series.{csv,json}`; the default is `./series.{csv,json}`.
 fn series_cmd(opts: &Options) {
@@ -1379,9 +1379,8 @@ fn series_cmd(opts: &Options) {
 /// therefore nondeterministic; nothing lands in deterministic exports.
 fn profile_cmd(opts: &Options) {
     section(&format!(
-        "Profile — per-handler wall breakdown ({}, {} scheduler, nondeterministic)",
-        opts.scenario.name,
-        opts.scenario.scheduler.name()
+        "Profile — per-handler wall breakdown ({}, nondeterministic)",
+        opts.scenario.name
     ));
     let study = Study::generate_scenario(opts.scale, opts.seed, &opts.scenario);
     let registry = Registry::new();
@@ -1398,40 +1397,33 @@ fn profile_cmd(opts: &Options) {
     );
 }
 
-/// One deterministic churn workload over either event-queue implementation:
-/// `n` schedules at LCG-drawn deltas past the last fired time (monotone,
-/// as the engine requires of every world), ~60 % cancels of random
-/// earlier ids, pops interleaved every 7th op, then a full drain.
-/// Identical call sequences land on both queues — pop order is fully
-/// determined by `(time, seq)` — so the popped-event counts must agree.
-macro_rules! churn {
-    ($queue:expr, $n:expr) => {{
-        let start = std::time::Instant::now();
-        let mut q = $queue;
-        let mut ids = Vec::with_capacity($n);
-        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-        let mut pops = 0u64;
-        let mut now = 0u64;
-        for i in 0..$n as u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ids.push(q.schedule(odx::sim::SimTime::from_millis(now + (x >> 33) % 1_000_000), i));
-            if i % 5 != 0 && i % 5 != 3 {
-                q.cancel(ids[((x >> 20) as usize) % ids.len()]);
-            }
-            if i % 7 == 0 {
-                if let Some((t, _)) = q.pop() {
-                    now = t.as_millis();
-                    pops += 1;
-                }
+/// One deterministic churn workload over the timing wheel: `n` schedules
+/// at LCG-drawn deltas past the last fired time (monotone, as the engine
+/// requires of every world), ~60 % cancels of random earlier ids, pops
+/// interleaved every 7th op, then a full drain. Returns the popped-event
+/// count and the wall seconds.
+fn churn(n: usize) -> (u64, f64) {
+    let start = std::time::Instant::now();
+    let mut q = odx::sim::TimingWheel::with_capacity(n);
+    let mut ids = Vec::with_capacity(n);
+    let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+    let mut pops = 0u64;
+    let mut now = 0u64;
+    for i in 0..n as u64 {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ids.push(q.schedule(odx::sim::SimTime::from_millis(now + (x >> 33) % 1_000_000), i));
+        if i % 5 != 0 && i % 5 != 3 {
+            q.cancel(ids[((x >> 20) as usize) % ids.len()]);
+        }
+        if i % 7 == 0 {
+            if let Some((t, _)) = q.pop() {
+                now = t.as_millis();
+                pops += 1;
             }
         }
-        while let Some((t, _)) = q.pop() {
-            now = t.as_millis();
-            pops += 1;
-        }
-        let _ = now;
-        (pops, start.elapsed().as_secs_f64())
-    }};
+    }
+    pops += std::iter::from_fn(|| q.pop()).count() as u64;
+    (pops, start.elapsed().as_secs_f64())
 }
 
 fn bench_report(opts: &Options) {
@@ -1439,13 +1431,9 @@ fn bench_report(opts: &Options) {
     section("Bench — DES hot-path wall-clock report (nondeterministic)");
 
     let ops: usize = 120_000;
-    let (slab_pops, slab_secs) = churn!(odx::sim::EventQueue::with_capacity(ops), ops);
-    let (wheel_pops, wheel_secs) = churn!(odx::sim::TimingWheel::with_capacity(ops), ops);
-    assert_eq!(slab_pops, wheel_pops, "the wheel must fire the same events");
-    let slab_eps = slab_pops as f64 / slab_secs.max(1e-9);
+    let (wheel_pops, wheel_secs) = churn(ops);
     let wheel_eps = wheel_pops as f64 / wheel_secs.max(1e-9);
-    println!("  event-queue churn ({ops} schedules, ~60% cancels, {slab_pops} fired):");
-    println!("    slab   queue  {slab_eps:>12.0} events/sec  ({slab_secs:.3}s)");
+    println!("  event-queue churn ({ops} schedules, ~60% cancels, {wheel_pops} fired):");
     println!("    timing wheel  {wheel_eps:>12.0} events/sec  ({wheel_secs:.3}s)");
 
     let shard = run_sweep(&SweepSpec {
@@ -1543,65 +1531,50 @@ fn bench_report(opts: &Options) {
     }
     cache_json.push('}');
 
-    // Full-scale week, both schedulers. The headline number for the
-    // timing-wheel PR: the paper's whole measurement week (scale 1.0,
-    // 4.08 M tasks) generated once, then replayed on the binary heap and
-    // on the hierarchical timing wheel — interleaved best-of-N so the two
-    // schedulers time the *same* in-memory workload under the same
-    // machine conditions, with byte-identical metrics exports asserted
-    // before timing is even reported. `ODX_BENCH_QUICK=1` shrinks the
-    // scale so smoke runs stay fast.
+    // Full-scale week: the paper's whole measurement week (scale 1.0,
+    // 4.08 M tasks) generated once, then replayed best-of-N, with every
+    // rep's metrics export asserted byte-identical before timing is
+    // reported. `ODX_BENCH_QUICK=1` shrinks the scale so smoke runs stay
+    // fast.
     let full_scale = if std::env::var_os("ODX_BENCH_QUICK").is_some() { 0.01 } else { 1.0 };
-    // Wall-clock on shared machines is noisy; interleaving the two
-    // schedulers rep by rep and keeping each one's best makes the
-    // ratio robust to transient load.
+    // Wall-clock on shared machines is noisy; interleaving the plain and
+    // profiled replays rep by rep and keeping each one's best makes the
+    // overhead ratio robust to transient load.
     let reps = 5;
     println!(
-        "  full week ({} @ scale {full_scale}, heap vs wheel, replay only, best of {reps}):",
+        "  full week ({} @ scale {full_scale}, replay only, best of {reps}):",
         opts.scenario.name
     );
     let study = odx::Study::generate_scenario(full_scale, opts.seed, &opts.scenario);
-    let kinds = odx::sim::SchedulerKind::ALL;
-    let mut best_secs = [f64::INFINITY; 2];
+    let mut best_secs = f64::INFINITY;
     let mut best_prof_secs = f64::INFINITY;
     let prof_registry = Registry::new();
-    let mut snapshots: [Option<String>; 2] = [None, None];
+    let mut snapshot: Option<String> = None;
     let mut sim_events = 0u64;
     for _ in 0..reps {
-        // A profiled heap rep rides in the same interleaving, so its
-        // overhead ratio sees the same machine conditions as the plain
-        // replays it is compared against.
         let start = std::time::Instant::now();
         let profiled = Observers { profile: true, ..Observers::default() };
         let _ = study.replay_cloud(&opts.scenario, &prof_registry, profiled);
         best_prof_secs = best_prof_secs.min(start.elapsed().as_secs_f64());
-        for (k, kind) in kinds.into_iter().enumerate() {
-            let mut scenario = opts.scenario.clone();
-            scenario.scheduler = kind;
-            let registry = Registry::new();
-            let start = std::time::Instant::now();
-            study.replay_cloud(&scenario, &registry, Observers::default());
-            let secs = start.elapsed().as_secs_f64();
-            best_secs[k] = best_secs[k].min(secs);
-            let snap = registry.snapshot();
-            sim_events = snap.counters["sim.events"];
-            snapshots[k] = Some(snap.to_json());
-        }
-    }
-    assert_eq!(snapshots[0], snapshots[1], "heap and wheel metrics exports must be byte-identical");
-    for (k, kind) in kinds.into_iter().enumerate() {
-        println!(
-            "    {:<5} {:>12.0} events/sec  ({} events, {:.2}s)",
-            kind.name(),
-            sim_events as f64 / best_secs[k].max(1e-9),
-            sim_events,
-            best_secs[k]
+        let registry = Registry::new();
+        let start = std::time::Instant::now();
+        study.replay_cloud(&opts.scenario, &registry, Observers::default());
+        best_secs = best_secs.min(start.elapsed().as_secs_f64());
+        let snap = registry.snapshot();
+        sim_events = snap.counters["sim.events"];
+        let json = snap.to_json();
+        assert!(
+            snapshot.as_ref().map_or(true, |first| *first == json),
+            "same-seed replays must export byte-identical metrics"
         );
+        snapshot = Some(json);
     }
-    let wheel_speedup = best_secs[0] / best_secs[1].max(1e-9);
     let rss = peak_rss_mb();
     println!(
-        "    exports byte-identical; wheel speedup {wheel_speedup:.2}x{}",
+        "    {:>12.0} events/sec  ({} events, {:.2}s); exports byte-identical{}",
+        sim_events as f64 / best_secs.max(1e-9),
+        sim_events,
+        best_secs,
         rss.map_or(String::new(), |mb| format!("; peak RSS {mb:.0} MB"))
     );
 
@@ -1612,7 +1585,7 @@ fn bench_report(opts: &Options) {
     let prof_wall = prof_registry.snapshot().wall;
     let (prof_rows, prof_run_secs) =
         rows_from_walls(&prof_wall).expect("profiled replay flushed prof.* walls");
-    println!("  same week, per-handler wall profiler attached (heap, best of {reps}):");
+    println!("  same week, per-handler wall profiler attached (best of {reps}):");
     for line in render_rows(&prof_rows, prof_run_secs).lines() {
         println!("    {line}");
     }
@@ -1622,10 +1595,10 @@ fn bench_report(opts: &Options) {
         prof_rows.iter().find(|r| r.label == "sched.pop").map(|r| r.secs).unwrap_or(0.0);
     let handler_share = handler_secs / prof_run_secs.max(1e-9);
     let sched_share = sched_secs / prof_run_secs.max(1e-9);
-    let prof_overhead = best_prof_secs / best_secs[0].max(1e-9) - 1.0;
+    let prof_overhead = best_prof_secs / best_secs.max(1e-9) - 1.0;
     println!(
         "    handlers {:.0}% / scheduler {:.0}% of replay wall (BENCH_pr8 inferred ~75/~25); \
-         profiler overhead {:+.1}% vs plain heap",
+         profiler overhead {:+.1}% vs the plain replay",
         100.0 * handler_share,
         100.0 * sched_share,
         100.0 * prof_overhead
@@ -1637,22 +1610,17 @@ fn bench_report(opts: &Options) {
     );
     let full_week_json = format!(
         "{{\"scenario\":\"{}\",\"scale\":{full_scale},\"sim_events\":{sim_events},\
-         \"heap\":{{\"secs\":{:.3},\"events_per_sec\":{:.0}}},\
          \"wheel\":{{\"secs\":{:.3},\"events_per_sec\":{:.0}}},\
-         \"wheel_speedup\":{wheel_speedup:.2},\"exports_identical\":true,\
-         \"peak_rss_mb\":{}}}",
+         \"exports_identical\":true,\"peak_rss_mb\":{}}}",
         opts.scenario.name,
-        best_secs[0],
-        sim_events as f64 / best_secs[0].max(1e-9),
-        best_secs[1],
-        sim_events as f64 / best_secs[1].max(1e-9),
+        best_secs,
+        sim_events as f64 / best_secs.max(1e-9),
         rss.map_or("null".to_owned(), |mb| format!("{mb:.0}"))
     );
 
     if let Some(path) = &opts.json {
         let json = format!(
-            "{{\"event_queue_churn\":{{\"schedules\":{ops},\"fired\":{slab_pops},\
-             \"slab\":{{\"secs\":{slab_secs},\"events_per_sec\":{slab_eps:.0}}},\
+            "{{\"event_queue_churn\":{{\"schedules\":{ops},\"fired\":{wheel_pops},\
              \"wheel\":{{\"secs\":{wheel_secs},\"events_per_sec\":{wheel_eps:.0}}}}},\
              \"cloud_week\":{{\"scenario\":\"{}\",\"scale\":{},\"sim_events\":{},\
              \"secs\":{:.3},\"events_per_sec\":{:.0}}},\

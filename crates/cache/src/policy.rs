@@ -107,7 +107,7 @@ impl PolicyKind {
     }
 
     /// Build this policy with a byte budget, preallocated for roughly
-    /// `entries` resident files (mirrors `EventQueue::with_capacity`).
+    /// `entries` resident files (mirrors `TimingWheel::with_capacity`).
     pub fn build(self, capacity_mb: f64, entries: usize) -> Box<dyn CachePolicy> {
         match self {
             PolicyKind::Lru => Box::new(LruCache::with_capacity(capacity_mb, entries)),

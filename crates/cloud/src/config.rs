@@ -2,7 +2,7 @@
 
 use odx_cache::CacheConfig;
 use odx_faults::{FaultsConfig, RetryConfig};
-use odx_sim::{SchedulerKind, SimDuration};
+use odx_sim::SimDuration;
 
 /// Configuration of the Xuanfeng-like cloud.
 #[derive(Debug, Clone, Copy)]
@@ -49,9 +49,6 @@ pub struct CloudConfig {
     /// Ablation: disable privileged-path construction, forcing every fetch
     /// across the ISP barrier.
     pub privileged_paths_enabled: bool,
-    /// Which future-event list the replay runs on. A wall-clock knob only:
-    /// heap and wheel replays are byte-identical.
-    pub scheduler: SchedulerKind,
     /// Fault-injection knobs: compiled into an `odx_faults::FaultPlan` at
     /// replay start. Zero intensity (the default) injects nothing and
     /// consumes no RNG draws.
@@ -78,7 +75,6 @@ impl Default for CloudConfig {
             retry_decay: odx_backend::BackendConfig::default().retry_decay,
             cache_enabled: true,
             privileged_paths_enabled: true,
-            scheduler: SchedulerKind::default(),
             faults: FaultsConfig::default(),
             retry: RetryConfig::default(),
         }
@@ -104,7 +100,6 @@ impl CloudConfig {
         cfg.privileged_paths_enabled = scenario.privileged_paths;
         cfg.retry_decay = scenario.backend.retry_decay;
         cfg.upload_total_kbps /= scenario.demand_factor;
-        cfg.scheduler = scenario.scheduler;
         cfg.faults = scenario.faults;
         cfg.retry = scenario.retry;
         cfg

@@ -593,7 +593,6 @@ impl<'a> XuanfengCloud<'a> {
         registry: &Registry,
         observers: Observers<'_>,
     ) -> (WeekReport, Option<LifecycleReport>) {
-        let scheduler = cfg.scheduler;
         let mut world = XuanfengCloud::new(cfg, catalog, population, workload, rngs);
         world.metrics = CloudMetrics::new(registry);
         world.backend.rebind_metrics(registry);
@@ -617,7 +616,7 @@ impl<'a> XuanfengCloud<'a> {
         // windows and in-flight follow-ups; the slab grows on demand if
         // those pile past this presize.
         let capacity = workload.len().min(2 * 65_536) + 16;
-        let mut sim = Simulation::with_scheduler(world, scheduler, capacity);
+        let mut sim = Simulation::with_capacity(world, capacity);
         sim.attach_telemetry(registry.clone());
         if let Some(flight) = flight {
             sim.attach_flight_recorder(flight);

@@ -28,4 +28,4 @@ pub mod spec;
 
 pub use error::{suggest, ConfigError};
 pub use json::Json;
-pub use spec::{axis_paths, ApSpec, BackendSpec, CacheSpec, ScenarioSpec, SimSpec, KNOWN_PATHS};
+pub use spec::{axis_paths, ApSpec, BackendSpec, CacheSpec, ScenarioSpec, KNOWN_PATHS};

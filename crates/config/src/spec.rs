@@ -51,15 +51,6 @@ pub struct CacheSpec {
     pub shards: u32,
 }
 
-/// Engine-layer knobs (which future-event list the DES runs on).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimSpec {
-    /// Scheduler name (`heap`, `wheel` — validated by the resolver, which
-    /// owns the scheduler vocabulary). Both produce byte-identical runs;
-    /// they differ only in wall-clock cost.
-    pub scheduler: String,
-}
-
 /// Observability-layer knobs (the virtual-time series recorder).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySpec {
@@ -146,8 +137,6 @@ pub struct ScenarioSpec {
     pub retry: RetrySpec,
     /// The three-AP benchmark fleet.
     pub ap_fleet: Vec<ApSpec>,
-    /// Engine-layer knobs.
-    pub sim: SimSpec,
     /// Observability knobs (series sampling cadence).
     pub telemetry: TelemetrySpec,
     /// Sweep axes: dotted path → the values the grid takes on that axis.
@@ -190,7 +179,6 @@ pub const KNOWN_PATHS: &[&str] = &[
     "ap_fleet.2.model",
     "ap_fleet.2.device",
     "ap_fleet.2.fs",
-    "sim.scheduler",
     "telemetry.series_interval_s",
 ];
 
@@ -239,7 +227,6 @@ impl ScenarioSpec {
                 ApSpec::new("miwifi", "sata-hdd", "ext4"),
                 ApSpec::new("newifi", "usb-flash", "ntfs"),
             ],
-            sim: SimSpec { scheduler: "heap".into() },
             telemetry: TelemetrySpec { series_interval_s: 3600.0 },
             axes: BTreeMap::new(),
         }
@@ -281,7 +268,6 @@ impl ScenarioSpec {
             "retry.base_delay_s" => self.retry.base_delay_s = num_at(path, value)?,
             "retry.max_attempts" => self.retry.max_attempts = u32_at(path, value)?,
             "retry.jitter" => self.retry.jitter = num_at(path, value)?,
-            "sim.scheduler" => self.sim.scheduler = str_at(path, value)?,
             "telemetry.series_interval_s" => {
                 self.telemetry.series_interval_s = num_at(path, value)?
             }
@@ -320,7 +306,7 @@ impl ScenarioSpec {
 
     /// Apply a JSON object as a delta over this spec — layer 3 (scenario
     /// files). Accepts nested objects for `backend` / `cache` / `faults` /
-    /// `retry` (and `sim` / `telemetry`), a complete
+    /// `retry` (and `telemetry`), a complete
     /// three-entry `ap_fleet` array (or partial per-entry objects), an
     /// `axes` object (which *replaces* any existing axes), and literal
     /// dotted keys (`"cache.policy": "gdsf"`). The reserved key `base` is
@@ -335,7 +321,7 @@ impl ScenarioSpec {
                 "base" => {
                     str_at("base", value)?;
                 }
-                "backend" | "cache" | "sim" | "telemetry" | "faults" | "retry" => {
+                "backend" | "cache" | "telemetry" | "faults" | "retry" => {
                     let Json::Obj(nested) = value else {
                         return Err(ConfigError::at(key, "expected a JSON object"));
                     };
@@ -538,7 +524,6 @@ impl ScenarioSpec {
                 ]),
             ),
             ("ap_fleet", Json::Arr(fleet)),
-            ("sim", Json::obj([("scheduler", Json::Str(self.sim.scheduler.clone()))])),
             (
                 "telemetry",
                 Json::obj([("series_interval_s", Json::Num(self.telemetry.series_interval_s))]),
@@ -663,7 +648,6 @@ mod tests {
                 "cache_enabled" | "privileged_paths" => Json::Bool(false),
                 "cache.policy" => Json::Str("gdsf".into()),
                 "cache.shards" => Json::Num(4.0),
-                "sim.scheduler" => Json::Str("wheel".into()),
                 "cernet_share" => Json::Num(0.25),
                 "retry.policy" => Json::Str("expo".into()),
                 "retry.max_attempts" => Json::Num(2.0),
@@ -762,6 +746,15 @@ mod tests {
         let delta = Json::parse(r#"{"demand_fator": 2}"#).unwrap();
         let err = spec.apply_delta(&delta).unwrap_err();
         assert!(err.message.contains("did you mean `demand_factor`?"), "{err}");
+    }
+
+    #[test]
+    fn spec_with_a_sim_section_is_rejected() {
+        // The engine has one future-event list, so there is no `sim`
+        // section left to configure.
+        let doc = Json::parse(r#"{"name": "x", "sim": {"scheduler": "heap"}}"#).unwrap();
+        let err = ScenarioSpec::from_json(&doc).unwrap_err();
+        assert!(err.message.contains("unknown config path `sim`"), "{err}");
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl Study {
 /// Stamp a lifecycle report with the scenario it ran under.
 fn stamped(lifecycle: Option<LifecycleReport>, scenario: &Scenario) -> Option<LifecycleReport> {
     lifecycle.map(|mut lifecycle| {
-        lifecycle.set_context(scenario.scheduler.name(), &scenario.name);
+        lifecycle.set_context(&scenario.name);
         lifecycle
     })
 }

@@ -494,7 +494,6 @@ mod tests {
 
     #[test]
     fn series_merge_is_byte_identical_across_worker_counts_and_schedulers() {
-        use odx_sim::SchedulerKind;
         // Six-sim-hour cadence keeps the series small at this scale.
         let mut spec = tiny_spec(1);
         spec.series_interval_ms = Some(6 * 3_600_000);
@@ -505,12 +504,6 @@ mod tests {
         let par = parallel.series().expect("series were recorded");
         assert_eq!(seq.to_json(), par.to_json(), "series JSON must be jobs-invariant");
         assert_eq!(seq.to_csv(), par.to_csv(), "series CSV must be jobs-invariant");
-        // Swapping the future-event list never changes a single byte.
-        for s in &mut spec.scenarios {
-            s.scheduler = SchedulerKind::Wheel;
-        }
-        let wheel = run_sweep(&spec).series().expect("series were recorded");
-        assert_eq!(seq.to_json(), wheel.to_json(), "scheduler must not leak into the series");
         // The golden-pinned sweep exports are untouched by recording.
         let silent = run_sweep(&tiny_spec(2));
         assert_eq!(sequential.to_json(), silent.to_json());

@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use crate::event::EventId;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::{Scheduler, SchedulerKind};
+use crate::wheel::TimingWheel;
 use odx_telemetry::{Counter, FlightRecorder, Gauge, HandlerProfiler, Registry, SeriesRecorder};
 
 /// Cached metric handles for an instrumented [`Simulation`].
@@ -56,7 +56,7 @@ pub trait World {
 /// ability to schedule and cancel future events.
 pub struct Ctx<'a, E> {
     now: SimTime,
-    queue: &'a mut Scheduler<E>,
+    queue: &'a mut TimingWheel<E>,
 }
 
 impl<E> Ctx<'_, E> {
@@ -99,10 +99,10 @@ struct SeriesState {
     next_due_ms: u64,
 }
 
-/// The top-level driver combining a [`World`], a [`Scheduler`] and a clock.
+/// The top-level driver combining a [`World`], a [`TimingWheel`] and a clock.
 pub struct Simulation<W: World> {
     world: W,
-    queue: Scheduler<W::Event>,
+    queue: TimingWheel<W::Event>,
     now: SimTime,
     processed: u64,
     /// Events already flushed into `sim.events` (batched-flush cursor).
@@ -114,27 +114,18 @@ pub struct Simulation<W: World> {
 }
 
 impl<W: World> Simulation<W> {
-    /// Create a simulation at time zero with an empty agenda, on the
-    /// default (slab-heap) scheduler.
+    /// Create a simulation at time zero with an empty agenda.
     pub fn new(world: W) -> Self {
-        Self::with_scheduler(world, SchedulerKind::default(), 0)
+        Self::with_capacity(world, 0)
     }
 
-    /// Like [`Simulation::new`], but with the event queue's heap and slab
-    /// preallocated for `capacity` concurrently pending events. Replays
-    /// that schedule their whole workload up front size this to the
-    /// workload so the hot loop never reallocates.
+    /// Like [`Simulation::new`], but with the event payload slab
+    /// preallocated for `capacity` concurrently pending events, so a
+    /// replay that knows its peak agenda never reallocates it.
     pub fn with_capacity(world: W, capacity: usize) -> Self {
-        Self::with_scheduler(world, SchedulerKind::default(), capacity)
-    }
-
-    /// Create a simulation on an explicit scheduler implementation (the
-    /// `sim.scheduler` scenario knob lands here). Both kinds produce
-    /// byte-identical runs; they differ only in wall-clock cost.
-    pub fn with_scheduler(world: W, kind: SchedulerKind, capacity: usize) -> Self {
         Simulation {
             world,
-            queue: Scheduler::with_capacity(kind, capacity),
+            queue: TimingWheel::with_capacity(capacity),
             now: SimTime::ZERO,
             processed: 0,
             flushed: 0,
@@ -166,7 +157,7 @@ impl<W: World> Simulation<W> {
     /// strictly before `t`: engine tallies flush, [`World::pre_sample`]
     /// drains world-local batches, then the recorder reads every tracked
     /// metric. Sample values therefore depend only on the deterministic
-    /// event order — never on wall time, worker count, or scheduler kind.
+    /// event order — never on wall time or worker count.
     /// The caller still owns `finish`: call
     /// [`SeriesRecorder::finish`] at the end-of-run clock after final
     /// flushes so the last sample equals the end-of-run snapshot.
@@ -211,11 +202,6 @@ impl<W: World> Simulation<W> {
     /// Consume the simulation, returning the world.
     pub fn into_world(self) -> W {
         self.world
-    }
-
-    /// Which scheduler implementation this simulation runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.queue.kind()
     }
 
     /// Schedule an event at an absolute time (setup entry point).
@@ -614,19 +600,6 @@ mod tests {
         assert_eq!(labels, vec!["mark", "chain", "chain"]);
     }
 
-    #[test]
-    fn wheel_scheduler_replays_identically() {
-        let run = |kind| {
-            let mut sim = Simulation::with_scheduler(Recorder::default(), kind, 64);
-            for i in 0..50 {
-                sim.schedule_at(SimTime::from_millis(i % 7), Ev::Chain("c", i % 3));
-            }
-            sim.run_to_completion();
-            (sim.now(), sim.processed(), sim.into_world().log)
-        };
-        assert_eq!(run(SchedulerKind::Heap), run(SchedulerKind::Wheel));
-    }
-
     /// Everything a run exposes: handler log, clock, `sim.events`, the
     /// trace (the `sim.run` span), and the series, which tracks
     /// `sim.events` and `sim.queue_depth` every 7 ms.
@@ -642,21 +615,16 @@ mod tests {
 
     const GRID_MS: u64 = 7;
 
-    /// Run `setup` plus `arrivals` on `kind` and observe it: with
+    /// Run `setup` plus `arrivals` and observe it: with
     /// `window: None`, every arrival is scheduled up front ahead of the
     /// setup events; otherwise `run_merged` streams them with that depth
     /// window.
-    fn observe(
-        kind: SchedulerKind,
-        setup: &[(u64, Ev)],
-        arrivals: &[(u64, Ev)],
-        window: Option<usize>,
-    ) -> Observed {
+    fn observe(setup: &[(u64, Ev)], arrivals: &[(u64, Ev)], window: Option<usize>) -> Observed {
         let registry = odx_telemetry::Registry::new();
         let series = odx_telemetry::SeriesRecorder::new(GRID_MS);
         series.track_counter("sim.events", registry.counter("sim.events"));
         series.track_gauge("sim.queue_depth", registry.gauge("sim.queue_depth"));
-        let mut sim = Simulation::with_scheduler(Recorder::default(), kind, 8);
+        let mut sim = Simulation::with_capacity(Recorder::default(), 8);
         sim.attach_telemetry(registry.clone());
         sim.attach_series(series.clone());
         if window.is_none() {
@@ -738,16 +706,15 @@ mod tests {
     }
 
     /// `run_merged` against eager up-front scheduling and against the
-    /// streamed model, on both schedulers, for depth windows from 1 up
+    /// streamed model, for depth windows from 1 up
     /// to the production window.
     fn assert_merge_parity(setup: &[(u64, Ev)], arrivals: &[(u64, Ev)]) {
-        let eager = observe(SchedulerKind::Heap, setup, arrivals, None);
-        assert_eq!(observe(SchedulerKind::Wheel, setup, arrivals, None), eager);
+        let eager = observe(setup, arrivals, None);
         let eager_events = &eager.series.series["sim.events"];
         for window in [1, 2, 3, 7, DEPTH_WINDOW] {
             let (model_log, model_depths) = streamed_model(setup, arrivals, window);
             assert_eq!(model_log, eager.log, "the streamed model orders like eager scheduling");
-            let merged = observe(SchedulerKind::Heap, setup, arrivals, Some(window));
+            let merged = observe(setup, arrivals, Some(window));
             let ctx = format!("window {window}");
             assert_eq!(merged.log, eager.log, "{ctx}");
             assert_eq!(merged.now, eager.now, "{ctx}");
@@ -765,7 +732,6 @@ mod tests {
                 merged.series.times.iter().zip(grid).map(|(&t, &d)| (t, d as usize)).collect();
             assert_eq!(got, model_depths, "{ctx}: depth counts admitted arrivals");
             assert_eq!(*last, 0.0, "{ctx}: nothing is pending at the end");
-            assert_eq!(observe(SchedulerKind::Wheel, setup, arrivals, Some(window)), merged);
         }
     }
 
@@ -856,30 +822,25 @@ mod tests {
 
     #[test]
     fn series_samples_on_the_virtual_grid_before_events() {
-        let run = |kind| {
-            let registry = odx_telemetry::Registry::new();
-            let series = odx_telemetry::SeriesRecorder::new(25);
-            series.track_counter("sim.events", registry.counter("sim.events"));
-            series.track_gauge("sim.queue_depth", registry.gauge("sim.queue_depth"));
-            let mut sim = Simulation::with_scheduler(Recorder::default(), kind, 16);
-            sim.attach_telemetry(registry.clone());
-            sim.attach_series(series.clone());
-            for at in [10u64, 30, 60, 100] {
-                sim.schedule_at(SimTime::from_millis(at), Ev::Mark("m"));
-            }
-            sim.run_to_completion();
-            series.finish(sim.now().as_millis());
-            (series.snapshot().to_json(), series.snapshot().to_csv())
-        };
-        let (json, csv) = run(SchedulerKind::Heap);
+        let registry = odx_telemetry::Registry::new();
+        let series = odx_telemetry::SeriesRecorder::new(25);
+        series.track_counter("sim.events", registry.counter("sim.events"));
+        series.track_gauge("sim.queue_depth", registry.gauge("sim.queue_depth"));
+        let mut sim = Simulation::with_capacity(Recorder::default(), 16);
+        sim.attach_telemetry(registry.clone());
+        sim.attach_series(series.clone());
+        for at in [10u64, 30, 60, 100] {
+            sim.schedule_at(SimTime::from_millis(at), Ev::Mark("m"));
+        }
+        sim.run_to_completion();
+        series.finish(sim.now().as_millis());
+        let json = series.snapshot().to_json();
         // Grid points 25, 50, 75 are each due strictly before a later
         // event fires; the final sample lands at the end-of-run clock.
         assert!(json.contains("\"times\":[25,50,75,100]"), "{json}");
         // Counter deltas: 1 event (t=10) by t=25, 1 more (t=30) by t=50,
         // 1 (t=60) by 75, and the final event at t=100 in the last row.
         assert!(json.contains("\"sim.events\":{\"kind\":\"counter_delta\",\"values\":[1,1,1,1]}"));
-        // Identical bytes on the timing-wheel scheduler.
-        assert_eq!((json, csv), run(SchedulerKind::Wheel));
     }
 
     #[test]

@@ -9,14 +9,12 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a virtual clock with millisecond
 //!   resolution (a simulated week is ~6×10⁸ ms, far inside `u64`).
-//! * [`EventQueue`] / [`Simulation`] — a binary-heap scheduler with a stable
-//!   FIFO tie-break so runs are bit-for-bit reproducible. Payloads live in a
-//!   generation-stamped slab, so cancellation is an O(1) array write and the
+//! * [`Simulation`] / [`TimingWheel`] — the driver and its future-event
+//!   list, a hierarchical timing wheel with O(1) schedule and a stable
+//!   FIFO tie-break (`(time, seq)` order), so runs are bit-for-bit
+//!   reproducible. Payloads live in a generation-stamped slab, so
+//!   cancellation through an [`EventId`] is an O(1) array write and the
 //!   pop loop never hashes.
-//! * [`TimingWheel`] / [`Scheduler`] — a hierarchical timing wheel with O(1)
-//!   schedule that reproduces the heap's exact `(time, seq)` pop order, and
-//!   the enum that lets simulations pick either implementation at run time
-//!   (`--set sim.scheduler=wheel`).
 //! * [`Simulation::run_merged`] — dispatches a time-sorted arrival stream
 //!   alongside the scheduler, so full-scale replays never push their
 //!   millions of arrivals through the future-event list.
@@ -68,10 +66,10 @@ mod token_bucket;
 mod wheel;
 
 pub use engine::{Ctx, Simulation, World};
-pub use event::{EventId, EventQueue};
+pub use event::EventId;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::{named_seed, RngFactory, SimRng};
 pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};
 pub use token_bucket::TokenBucket;
-pub use wheel::{Scheduler, SchedulerKind, TimingWheel};
+pub use wheel::TimingWheel;

@@ -1,37 +1,36 @@
-//! A deterministic hierarchical timing wheel, interchangeable with the
-//! slab-heap [`EventQueue`].
+//! The engine's future-event list: a deterministic hierarchical timing
+//! wheel.
 //!
-//! The wheel replaces the heap's O(log n) sift with O(1) bucket pushes:
-//! five levels of power-of-two buckets cover ~49.7 days of millisecond
-//! ticks (level 0: 256 × 1 ms, then four levels of 64 slots each spanning
-//! 2^14, 2^20, 2^26 and 2^32 ms), and anything beyond the horizon parks in
-//! an overflow list that is re-dealt into the wheel when the cursor gets
-//! there. A full-week replay (≈ 6.05 × 10^8 ms) fits entirely inside the
-//! wheel, so the overflow never fires on the paper's workload.
+//! Scheduling is an O(1) bucket push: five levels of power-of-two buckets
+//! cover ~49.7 days of millisecond ticks (level 0: 256 × 1 ms, then four
+//! levels of 64 slots each spanning 2^14, 2^20, 2^26 and 2^32 ms), and
+//! anything beyond the horizon parks in an overflow list that is re-dealt
+//! into the wheel when the cursor gets there. A full-week replay
+//! (≈ 6.05 × 10^8 ms) fits entirely inside the wheel, so the overflow never
+//! fires on the paper's workload.
 //!
-//! **Determinism.** The wheel reproduces the heap's exact `(time, seq)`
-//! total order. Every live entry in a level-0 bucket shares one absolute
-//! millisecond (the bucket *is* that millisecond within the current
-//! 256 ms window), so draining a bucket and sorting the survivors by
-//! sequence number yields precisely the heap's same-timestamp tie-break —
-//! scheduling order. Buckets drain in increasing time because the cursor
-//! only moves forward (higher levels cascade downward before their window
-//! is reached). An event scheduled earlier than the cursor — legal on the
-//! raw queue API, and routine under the engine's merged arrival loop,
-//! where an arrival dispatched ahead of a peeked head schedules follow-ups
-//! that land before it — parks in a small `(time, seq)` min-heap that
-//! drains before the buckets: everything in it is earlier than the
-//! cursor, hence earlier than everything in the wheel.
+//! **Determinism.** Events pop in `(time, seq)` order: by time, and at one
+//! instant in scheduling order. Every live entry in a level-0 bucket
+//! shares one absolute millisecond (the bucket *is* that millisecond
+//! within the current 256 ms window), so draining a bucket and sorting the
+//! survivors by sequence number yields the scheduling-order tie-break.
+//! Buckets drain in increasing time because the cursor only moves forward
+//! (higher levels cascade downward before their window is reached). An
+//! event scheduled earlier than the cursor — legal on the raw API, and
+//! routine under the engine's merged arrival loop, where an arrival
+//! dispatched ahead of a peeked head schedules follow-ups that land before
+//! it — parks in a small `(time, seq)` min-heap that drains before the
+//! buckets: everything in it is earlier than the cursor, hence earlier
+//! than everything in the wheel.
 //!
-//! **Cancellation** reuses the generation-stamped slab of the slab-heap
-//! queue verbatim: cancel is an O(1) slab write, stale bucket entries are
+//! **Cancellation** goes through a generation-stamped payload slab (see
+//! [`EventId`]): cancel is an O(1) slab write, stale bucket entries are
 //! discarded on drain by a generation comparison, and cancelling an
-//! already-fired id is structurally a no-op ([`EventId`] generations move
-//! on when the payload leaves the slab).
+//! already-fired id is structurally a no-op.
 
 use std::collections::BinaryHeap;
 
-use crate::event::{EventId, EventQueue, HeapEntry as WheelEntry};
+use crate::event::{EventId, WheelEntry};
 use crate::time::SimTime;
 
 /// Number of wheel levels (excluding the overflow list).
@@ -69,7 +68,10 @@ const LEVEL_OF: [Option<usize>; 65] = {
     table
 };
 
-/// One slab slot (see [`EventQueue`] for the generation protocol).
+/// One slab slot: the payload (while the event is live) and the slot's
+/// current generation. Taking the payload — by firing or cancelling —
+/// bumps the generation, invalidating every outstanding handle and bucket
+/// entry stamped with the old one.
 struct Slot<E> {
     generation: u32,
     payload: Option<E>,
@@ -77,10 +79,11 @@ struct Slot<E> {
 
 /// A deterministic future-event list with O(1) schedule and cancel.
 ///
-/// Mirrors the [`EventQueue`] API exactly — `schedule`, `cancel`, `pop`,
-/// `peek_time`, `len` — and produces the identical pop sequence for any
-/// interleaving of those calls (property-tested in this module and pinned
-/// against the heap under heavy cancellation).
+/// `pop` is amortised O(1): cancelled events leave stale entries behind,
+/// but each is discarded exactly once by a generation comparison. `len`
+/// counts live events exactly. The pop sequence for any interleaving of
+/// `schedule`, `cancel`, `pop` and `peek_time` is property-tested against
+/// a naive reference model (`crates/sim/tests/properties.rs`).
 pub struct TimingWheel<E> {
     /// `buckets[level][slot]` — pending entries, possibly stale.
     buckets: Vec<Vec<Vec<WheelEntry>>>,
@@ -161,9 +164,10 @@ impl<E> TimingWheel<E> {
         EventId { slot, generation }
     }
 
-    /// Cancel a previously scheduled event: an O(1) slab write, identical
-    /// to [`EventQueue::cancel`]. The bucket entry stays behind as a stale
-    /// tombstone discarded on drain.
+    /// Cancel a previously scheduled event: an O(1) slab write. The bucket
+    /// entry stays behind as a stale tombstone discarded on drain.
+    /// Cancelling an already-fired, already-cancelled, or unknown id is a
+    /// no-op (returns `false`).
     pub fn cancel(&mut self, id: EventId) -> bool {
         let Some(slot) = self.slots.get_mut(id.slot as usize) else { return false };
         if slot.generation != id.generation || slot.payload.is_none() {
@@ -325,33 +329,31 @@ impl<E> TimingWheel<E> {
                 let mut scan = digit + 1;
                 while let Some(slot) = self.next_occupied(level, scan) {
                     self.occ[level][slot / 64] &= !(1 << (slot % 64));
-                    let mut bucket = std::mem::take(&mut self.buckets[level][slot]);
+                    // The bucket's buffer is dropped with it: its slot comes
+                    // round again only after a full lap of its level (49.7
+                    // days at level 4), which a week never reaches, so a
+                    // kept buffer would only hold memory.
+                    let bucket = std::mem::take(&mut self.buckets[level][slot]);
                     if !bucket
                         .iter()
                         .any(|e| self.slots[e.slot as usize].generation == e.generation)
                     {
-                        // Only tombstones — keep the buffer, keep scanning.
-                        bucket.clear();
-                        self.buckets[level][slot] = bucket;
                         scan = slot + 1;
-                        continue;
+                        continue; // only tombstones — keep scanning
                     }
                     // Jump the cursor to the slot's window start, then
                     // re-deal its entries into the levels below. Every
                     // live entry lands strictly below `level` (its digit
-                    // at `level` now matches the cursor's), so draining
-                    // the owned buffer and handing it back afterwards is
-                    // safe and keeps its capacity for the next lap.
+                    // at `level` now matches the cursor's).
                     let base = (self.cur >> SHIFT[level + 1] << SHIFT[level + 1])
                         | ((slot as u64) << SHIFT[level]);
                     self.cur = base;
                     self.ready_loaded = false;
-                    for e in bucket.drain(..) {
+                    for e in bucket {
                         if self.slots[e.slot as usize].generation == e.generation {
                             self.place(e);
                         }
                     }
-                    self.buckets[level][slot] = bucket;
                     continue 'outer;
                 }
             }
@@ -412,126 +414,9 @@ impl<E> TimingWheel<E> {
     }
 }
 
-/// Which future-event list a simulation runs on.
-///
-/// Selectable end to end via the scenario spec path `sim.scheduler`
-/// (`--set sim.scheduler=wheel`); both produce byte-identical replays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedulerKind {
-    /// The slab binary heap ([`EventQueue`]): O(log n) schedule/pop.
-    #[default]
-    Heap,
-    /// The hierarchical timing wheel ([`TimingWheel`]): O(1) schedule,
-    /// amortised O(1) pop.
-    Wheel,
-}
-
-impl SchedulerKind {
-    /// Every scheduler, in canonical order.
-    pub const ALL: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Wheel];
-
-    /// The spec-vocabulary name (`heap` / `wheel`).
-    pub const fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Wheel => "wheel",
-        }
-    }
-
-    /// Parse a spec-vocabulary name.
-    pub fn parse(name: &str) -> Option<SchedulerKind> {
-        SchedulerKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-}
-
-impl std::fmt::Display for SchedulerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The small abstraction the engine runs on: either future-event list
-/// behind one enum, so `EventQueue` and `TimingWheel` are interchangeable
-/// without making every `World` generic over the scheduler.
-pub enum Scheduler<E> {
-    /// Slab binary heap.
-    Heap(EventQueue<E>),
-    /// Hierarchical timing wheel.
-    Wheel(TimingWheel<E>),
-}
-
-impl<E> Scheduler<E> {
-    /// An empty scheduler of the given kind.
-    pub fn new(kind: SchedulerKind) -> Self {
-        Self::with_capacity(kind, 0)
-    }
-
-    /// An empty scheduler with a preallocated payload slab.
-    pub fn with_capacity(kind: SchedulerKind, capacity: usize) -> Self {
-        match kind {
-            SchedulerKind::Heap => Scheduler::Heap(EventQueue::with_capacity(capacity)),
-            SchedulerKind::Wheel => Scheduler::Wheel(TimingWheel::with_capacity(capacity)),
-        }
-    }
-
-    /// Which implementation this is.
-    pub fn kind(&self) -> SchedulerKind {
-        match self {
-            Scheduler::Heap(_) => SchedulerKind::Heap,
-            Scheduler::Wheel(_) => SchedulerKind::Wheel,
-        }
-    }
-
-    /// See [`EventQueue::schedule`].
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
-        match self {
-            Scheduler::Heap(q) => q.schedule(time, payload),
-            Scheduler::Wheel(w) => w.schedule(time, payload),
-        }
-    }
-
-    /// See [`EventQueue::cancel`].
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        match self {
-            Scheduler::Heap(q) => q.cancel(id),
-            Scheduler::Wheel(w) => w.cancel(id),
-        }
-    }
-
-    /// See [`EventQueue::pop`].
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            Scheduler::Heap(q) => q.pop(),
-            Scheduler::Wheel(w) => w.pop(),
-        }
-    }
-
-    /// See [`EventQueue::peek_time`].
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            Scheduler::Heap(q) => q.peek_time(),
-            Scheduler::Wheel(w) => w.peek_time(),
-        }
-    }
-
-    /// Number of live events.
-    pub fn len(&self) -> usize {
-        match self {
-            Scheduler::Heap(q) => q.len(),
-            Scheduler::Wheel(w) => w.len(),
-        }
-    }
-
-    /// Whether no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -628,140 +513,23 @@ mod tests {
         assert_eq!(w.pop(), Some((t(1000), "late")));
     }
 
-    /// Drive both schedulers through one interleaved op script and assert
-    /// identical pop sequences and identical `len()` throughout.
-    fn lockstep(ops: &[Op]) {
-        let mut heap: EventQueue<u64> = EventQueue::new();
-        let mut wheel: TimingWheel<u64> = TimingWheel::new();
-        let mut hids = Vec::new();
-        let mut wids = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Schedule(ms) => {
-                    hids.push(heap.schedule(t(ms), i as u64));
-                    wids.push(wheel.schedule(t(ms), i as u64));
-                }
-                Op::Cancel(idx) => {
-                    if !hids.is_empty() {
-                        let idx = idx % hids.len();
-                        // Cancel-after-fire included: ids are kept forever,
-                        // so stale handles hit both implementations alike.
-                        assert_eq!(heap.cancel(hids[idx]), wheel.cancel(wids[idx]));
-                    }
-                }
-                Op::Pop => {
-                    assert_eq!(heap.pop(), wheel.pop());
-                }
-                Op::Peek => {
-                    assert_eq!(heap.peek_time(), wheel.peek_time());
-                }
-            }
-            assert_eq!(heap.len(), wheel.len());
-        }
-        loop {
-            let (a, b) = (heap.pop(), wheel.pop());
-            assert_eq!(a, b);
-            assert_eq!(heap.len(), wheel.len());
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[derive(Debug, Clone, Copy)]
-    enum Op {
-        Schedule(u64),
-        Cancel(usize),
-        Pop,
-        Peek,
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        // Weighted by arm duplication (the vendored proptest's
-        // `prop_oneof!` is unweighted). Time span crosses several wheel
-        // levels; the small modulus forces same-timestamp bursts.
-        prop_oneof![
-            (0u64..3_000_000).prop_map(Op::Schedule),
-            (0u64..3_000_000).prop_map(Op::Schedule),
-            (0u64..64).prop_map(|ms| Op::Schedule(ms % 7)),
-            any::<usize>().prop_map(Op::Cancel),
-            any::<usize>().prop_map(Op::Cancel),
-            Just(Op::Pop),
-            Just(Op::Peek),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Random schedule/cancel/pop interleavings (cancel-after-fire and
-        /// same-timestamp bursts included) produce identical pop sequences
-        /// and identical `len()` on both schedulers.
-        #[test]
-        fn wheel_matches_heap_on_random_interleavings(
-            ops in proptest::collection::vec(op_strategy(), 1..400),
-        ) {
-            lockstep(&ops);
-        }
-
-        /// Far-future times exercise the overflow list and its re-deal.
-        #[test]
-        fn wheel_matches_heap_across_the_overflow_horizon(
-            ops in proptest::collection::vec(
-                prop_oneof![
-                    (0u64..10_000).prop_map(Op::Schedule),
-                    ((1u64 << 31)..(1 << 34)).prop_map(Op::Schedule),
-                    any::<usize>().prop_map(Op::Cancel),
-                    Just(Op::Pop),
-                ],
-                1..200,
-            ),
-        ) {
-            lockstep(&ops);
-        }
-    }
-
     #[test]
-    fn wheel_matches_heap_under_heavy_cancellation() {
-        // ≥50 % cancels interleaved with pops: same pops, same cancel results.
-        let mut heap = EventQueue::new();
-        let mut wheel = TimingWheel::new();
-        let mut hids = Vec::new();
-        let mut wids = Vec::new();
-        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-        let mut step = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            x >> 33
-        };
-        for i in 0..4000u64 {
-            let at = t(step() % 10_000);
-            hids.push(heap.schedule(at, i));
-            wids.push(wheel.schedule(at, i));
-        }
-        for (i, (hid, wid)) in hids.iter().zip(&wids).enumerate() {
-            if i % 5 != 0 && i % 5 != 3 {
-                assert_eq!(heap.cancel(*hid), wheel.cancel(*wid));
-            }
-            if i % 97 == 0 {
-                assert_eq!(heap.pop(), wheel.pop());
+    fn cascade_releases_the_bucket_buffer() {
+        // Hours ahead of the cursor sit at level 3 (2^20 ms slots); each
+        // cascades through levels 2 and 1 before it fires. The bucket at
+        // 2 h holds only a tombstone, so the scan discards it as well.
+        let mut w = TimingWheel::new();
+        let hour = 3_600_000;
+        w.schedule(t(hour), 1);
+        let dead = w.schedule(t(2 * hour), 2);
+        w.schedule(t(3 * hour), 3);
+        assert!(w.cancel(dead));
+        assert_eq!(w.pop(), Some((t(hour), 1)));
+        assert_eq!(w.pop(), Some((t(3 * hour), 3)));
+        for (level, buckets) in w.buckets.iter().enumerate().skip(1) {
+            for (slot, bucket) in buckets.iter().enumerate() {
+                assert_eq!(bucket.capacity(), 0, "level {level} slot {slot} kept its buffer");
             }
         }
-        loop {
-            let (a, b) = (heap.pop(), wheel.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn scheduler_kind_vocabulary_round_trips() {
-        for kind in SchedulerKind::ALL {
-            assert_eq!(SchedulerKind::parse(kind.name()), Some(kind));
-            assert_eq!(kind.to_string(), kind.name());
-        }
-        assert_eq!(SchedulerKind::parse("fifo"), None);
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Heap);
     }
 }

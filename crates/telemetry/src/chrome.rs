@@ -72,8 +72,8 @@ impl TaskTraceSet {
         let _ = write!(
             out,
             "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"sample_every\":\"{}\",\
-             \"scheduler\":\"{}\",\"scenario\":\"{}\"}}}}",
-            self.sample_every, self.scheduler, self.scenario
+             \"scenario\":\"{}\"}}}}",
+            self.sample_every, self.scenario
         );
         out
     }
@@ -364,10 +364,10 @@ mod tests {
     #[test]
     fn context_is_stamped_in_other_data() {
         let mut set = demo_set();
-        assert!(set.to_chrome_json().contains("\"scheduler\":\"\",\"scenario\":\"\""));
-        set.set_context("heap", "cernet-heavy");
+        assert!(set.to_chrome_json().contains("\"scenario\":\"\""));
+        set.set_context("cernet-heavy");
         let json = set.to_chrome_json();
-        assert!(json.contains("\"scheduler\":\"heap\",\"scenario\":\"cernet-heavy\""));
+        assert!(json.contains("\"scenario\":\"cernet-heavy\""));
         validate_chrome_trace(&json).expect("stamped trace still validates");
     }
 

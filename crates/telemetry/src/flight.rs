@@ -96,7 +96,6 @@ impl FlightRecorder {
     pub fn snapshot(&self) -> FlightSnapshot {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         FlightSnapshot {
-            scheduler: String::new(),
             scenario: String::new(),
             dumps: inner.dumps.clone(),
             recorded: inner.recorded,
@@ -108,12 +107,8 @@ impl FlightRecorder {
 /// Point-in-time export of a [`FlightRecorder`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightSnapshot {
-    /// The active scheduler kind's name (`heap` / `wheel`), stamped by
-    /// the replay layer so cross-scheduler dump diffs are unambiguous.
-    /// Empty until [`FlightSnapshot::set_context`] runs.
-    pub scheduler: String,
-    /// The scenario name the dumping run replayed, stamped alongside
-    /// `scheduler`.
+    /// The scenario name the dumping run replayed, stamped by the replay
+    /// layer. Empty until [`FlightSnapshot::set_context`] runs.
     pub scenario: String,
     /// Retained anomaly dumps, in dump order (dump order is virtual-time
     /// order, so this is deterministic).
@@ -125,21 +120,18 @@ pub struct FlightSnapshot {
 }
 
 impl FlightSnapshot {
-    /// Stamp the run context (active scheduler kind, scenario name) into
-    /// the snapshot's metadata header.
-    pub fn set_context(&mut self, scheduler: &str, scenario: &str) {
-        self.scheduler = scheduler.to_string();
+    /// Stamp the run context (the scenario name) into the snapshot's
+    /// metadata header.
+    pub fn set_context(&mut self, scenario: &str) {
         self.scenario = scenario.to_string();
     }
 
     /// Deterministic compact-JSON export of the dumps. The header stamps
-    /// the run context so dumps from different schedulers or scenarios
-    /// are distinguishable at a glance.
+    /// the run context so dumps from different scenarios are
+    /// distinguishable at a glance.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(128 + 64 * self.dumps.len());
-        out.push_str("{\"scheduler\":");
-        crate::export::push_json_str(&mut out, &self.scheduler);
-        out.push_str(",\"scenario\":");
+        out.push_str("{\"scenario\":");
         crate::export::push_json_str(&mut out, &self.scenario);
         let _ = write!(
             out,
@@ -215,11 +207,9 @@ mod tests {
         flight.record(1, "arrive");
         flight.dump(3, "stagnation", 4);
         let mut snap = flight.snapshot();
-        assert!(snap.to_json().starts_with("{\"scheduler\":\"\",\"scenario\":\"\","));
-        snap.set_context("wheel", "paper-default");
-        assert!(snap
-            .to_json()
-            .starts_with("{\"scheduler\":\"wheel\",\"scenario\":\"paper-default\","));
+        assert!(snap.to_json().starts_with("{\"scenario\":\"\","));
+        snap.set_context("paper-default");
+        assert!(snap.to_json().starts_with("{\"scenario\":\"paper-default\","));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! merged arrival loop that is the arrival-or-scheduler choice — peek the
 //! next arrival and the scheduler's head, then take the earlier — timed
 //! once per dispatched event, with no trailing empty pop. Plain run loops
-//! time each `Scheduler::pop`, including the final empty one.
+//! time each `TimingWheel::pop`, including the final empty one.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -278,12 +278,7 @@ impl TaskTracer {
         for trace in &mut traces {
             trace.spans.sort_by_key(|s| (s.start_ms, s.stage.index()));
         }
-        TaskTraceSet {
-            traces,
-            sample_every: self.sample_every,
-            scheduler: String::new(),
-            scenario: String::new(),
-        }
+        TaskTraceSet { traces, sample_every: self.sample_every, scenario: String::new() }
     }
 }
 
@@ -294,18 +289,15 @@ pub struct TaskTraceSet {
     pub traces: Vec<TaskTrace>,
     /// The sampling rate they were recorded under.
     pub sample_every: u64,
-    /// The active scheduler kind's name, stamped by the replay layer
-    /// into the Chrome-trace metadata header (empty until stamped).
-    pub scheduler: String,
-    /// The scenario name the traced run replayed (empty until stamped).
+    /// The scenario name the traced run replayed, stamped by the replay
+    /// layer into the Chrome-trace metadata header (empty until stamped).
     pub scenario: String,
 }
 
 impl TaskTraceSet {
-    /// Stamp the run context (active scheduler kind, scenario name) for
-    /// the Chrome-trace `otherData` header.
-    pub fn set_context(&mut self, scheduler: &str, scenario: &str) {
-        self.scheduler = scheduler.to_string();
+    /// Stamp the run context (the scenario name) for the Chrome-trace
+    /// `otherData` header.
+    pub fn set_context(&mut self, scenario: &str) {
         self.scenario = scenario.to_string();
     }
 
@@ -519,13 +511,13 @@ impl LifecycleReport {
         self.traces.attribution()
     }
 
-    /// Stamp the run context (active scheduler kind, scenario name) into
-    /// both exports' metadata headers: the Chrome trace's `otherData`
-    /// and the flight dump's top-level fields. The replay layer calls
-    /// this so cross-scheduler dump diffs are unambiguous.
-    pub fn set_context(&mut self, scheduler: &str, scenario: &str) {
-        self.traces.set_context(scheduler, scenario);
-        self.flight.set_context(scheduler, scenario);
+    /// Stamp the run context (the scenario name) into both exports'
+    /// metadata headers: the Chrome trace's `otherData` and the flight
+    /// dump's top-level fields. The replay layer calls this so dumps
+    /// from different scenarios are distinguishable at a glance.
+    pub fn set_context(&mut self, scenario: &str) {
+        self.traces.set_context(scenario);
+        self.flight.set_context(scenario);
     }
 }
 
@@ -598,13 +590,8 @@ mod tests {
             .traces
             .iter()
             .map(|t| {
-                TaskTraceSet {
-                    traces: vec![t.clone()],
-                    sample_every: 1,
-                    scheduler: String::new(),
-                    scenario: String::new(),
-                }
-                .attribution()
+                TaskTraceSet { traces: vec![t.clone()], sample_every: 1, scenario: String::new() }
+                    .attribution()
             })
             .collect();
         let mut ab = halves[0].clone();

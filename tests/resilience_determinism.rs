@@ -1,5 +1,5 @@
 //! Resilience-sweep determinism: fault-injected grids are byte-identical
-//! across worker counts and schedulers, a zero-intensity fault plan
+//! across worker counts, a zero-intensity fault plan
 //! reproduces the pre-fault golden sweep exports byte for byte, and
 //! exponential backoff rescues tasks that `retry.policy=none` loses
 //! under the same fault plan.
@@ -7,15 +7,11 @@
 use odx::backend::ScenarioRegistry;
 use odx::faults::RetryKind;
 use odx::sweep::{resilience_variants, run_sweep, SweepSpec};
-use odx_sim::SchedulerKind;
 use proptest::prelude::*;
 
-fn grid(seed: u64, intensity: f64, jobs: usize, scheduler: SchedulerKind) -> SweepSpec {
+fn grid(seed: u64, intensity: f64, jobs: usize) -> SweepSpec {
     let registry = ScenarioRegistry::builtin();
-    let mut scenarios = vec![registry.get("cache-pressure").expect("builtin preset").clone()];
-    for scenario in &mut scenarios {
-        scenario.scheduler = scheduler;
-    }
+    let scenarios = [registry.get("cache-pressure").expect("builtin preset").clone()];
     let variants =
         resilience_variants(&scenarios, &[0.0, intensity], &[RetryKind::None, RetryKind::Expo]);
     SweepSpec {
@@ -33,29 +29,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// A fault-injected resilience grid exports byte-identical JSON and
-    /// CSV for `--jobs 1/2/8` on both schedulers, and the timing-wheel
-    /// bytes equal the heap bytes — injection holds the standing
-    /// determinism bar.
+    /// CSV for `--jobs 1/2/8` — injection holds the standing determinism
+    /// bar.
     #[test]
     fn resilience_bytes_do_not_depend_on_worker_count_or_scheduler(
         seed in 0u64..100_000,
         intensity in 0.05f64..0.3,
     ) {
-        let j1 = run_sweep(&grid(seed, intensity, 1, SchedulerKind::Heap));
-        let j2 = run_sweep(&grid(seed, intensity, 2, SchedulerKind::Heap));
-        let j8 = run_sweep(&grid(seed, intensity, 8, SchedulerKind::Heap));
+        let j1 = run_sweep(&grid(seed, intensity, 1));
+        let j2 = run_sweep(&grid(seed, intensity, 2));
+        let j8 = run_sweep(&grid(seed, intensity, 8));
         prop_assert_eq!(j1.to_json(), j2.to_json());
         prop_assert_eq!(j2.to_json(), j8.to_json());
         prop_assert_eq!(j1.to_csv(), j2.to_csv());
         prop_assert_eq!(j2.to_csv(), j8.to_csv());
-
-        let w1 = run_sweep(&grid(seed, intensity, 1, SchedulerKind::Wheel));
-        let w8 = run_sweep(&grid(seed, intensity, 8, SchedulerKind::Wheel));
-        prop_assert_eq!(w1.to_json(), w8.to_json());
-        // The scheduler is a wall-clock knob only, faults included: the
-        // injected windows land at identical (time, seq) slots.
-        prop_assert_eq!(w1.to_json(), j1.to_json());
-        prop_assert_eq!(w1.to_csv(), j1.to_csv());
     }
 }
 
@@ -98,7 +85,7 @@ fn zero_intensity_plan_reproduces_the_golden_sweep_exports() {
 /// `retry.policy=none`.
 #[test]
 fn expo_backoff_beats_no_retry_on_cache_pressure() {
-    let report = run_sweep(&grid(2015, 0.2, 2, SchedulerKind::Heap));
+    let report = run_sweep(&grid(2015, 0.2, 2));
     let cell = |name: &str| {
         report
             .cells

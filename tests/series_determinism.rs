@@ -1,11 +1,9 @@
 //! Determinism contracts for the virtual-time metric series at the
 //! facade level: shard-merged sweep series equal independently replayed
-//! single-shard series, the final sample of every series equals the
-//! end-of-run snapshot value (the tiling-style invariant), and swapping
-//! the future-event list (heap vs timing wheel) never changes a byte.
+//! single-shard series, and the final sample of every series equals the
+//! end-of-run snapshot value (the tiling-style invariant).
 
 use odx::backend::Scenario;
-use odx::sim::SchedulerKind;
 use odx::sweep::{run_sweep, SweepSpec};
 use odx::telemetry::{
     MetricSeries, Observers, Registry, SeriesRecorder, SeriesSet, SeriesSnapshot,
@@ -81,23 +79,5 @@ proptest! {
             };
             prop_assert_eq!(got, want, "{} must end at its snapshot value", name);
         }
-    }
-
-    /// (c) Heap vs timing-wheel series are byte-identical, as are
-    /// same-seed reruns on a freshly generated study.
-    #[test]
-    fn heap_and_wheel_series_are_byte_identical(seed in 0u64..50_000) {
-        let mut heap = preset("paper-default");
-        heap.scheduler = SchedulerKind::Heap;
-        let mut wheel = preset("paper-default");
-        wheel.scheduler = SchedulerKind::Wheel;
-        let study = Study::generate_scenario(0.0005, seed, &heap);
-        let a = series(&study, &heap, &Registry::new());
-        let b = series(&study, &wheel, &Registry::new());
-        prop_assert_eq!(a.to_json(), b.to_json(), "scheduler must not leak into the series");
-        prop_assert_eq!(a.to_csv(), b.to_csv());
-        let rerun = Study::generate_scenario(0.0005, seed, &heap);
-        let c = series(&rerun, &heap, &Registry::new());
-        prop_assert_eq!(a.to_json(), c.to_json(), "same-seed reruns must be byte-identical");
     }
 }

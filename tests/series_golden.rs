@@ -6,13 +6,11 @@
 //! `sim.queue_depth` is sampled across the 65,536-arrival window boundary
 //! that every smaller determinism test stays below.
 
-use odx::sim::SchedulerKind;
 use odx::sweep::{run_sweep, SweepSpec};
 use odx::Study;
 
-fn series_json(scheduler: SchedulerKind) -> String {
-    let mut scenario = Study::scenarios().get("paper-default").expect("builtin preset").clone();
-    scenario.scheduler = scheduler;
+fn series_json() -> String {
+    let scenario = Study::scenarios().get("paper-default").expect("builtin preset").clone();
     let spec = SweepSpec {
         series_interval_ms: Some(scenario.series_interval_ms()),
         scenarios: vec![scenario],
@@ -28,17 +26,7 @@ fn series_json(scheduler: SchedulerKind) -> String {
 #[test]
 fn heap_series_matches_the_golden_across_an_arrival_window() {
     assert!(
-        series_json(SchedulerKind::Heap)
-            == include_str!("golden/series_paper_default_s2015_scale002.json"),
-        "series drifted from the golden on the heap"
-    );
-}
-
-#[test]
-fn wheel_series_matches_the_golden_across_an_arrival_window() {
-    assert!(
-        series_json(SchedulerKind::Wheel)
-            == include_str!("golden/series_paper_default_s2015_scale002.json"),
-        "series drifted from the golden on the timing wheel"
+        series_json() == include_str!("golden/series_paper_default_s2015_scale002.json"),
+        "series drifted from the golden"
     );
 }

@@ -4,11 +4,10 @@
 //! them (`Ecdf::curve(512)`), each hash to a fixed FNV-1a-64 digest and
 //! line count. The pins were taken while the replay still kept its
 //! per-task records as vectors of structs, so they hold the column ledger
-//! to the bytes those vectors exported. Both schedulers must reproduce them.
+//! to the bytes those vectors exported.
 
 use std::fmt::Write as _;
 
-use odx::sim::SchedulerKind;
 use odx::stats::Ecdf;
 use odx::telemetry::{Observers, Registry};
 use odx::trace::io::write_tsv;
@@ -50,9 +49,8 @@ fn cdf_dump(ecdf: &Ecdf) -> String {
     text
 }
 
-fn exports(scheduler: SchedulerKind) -> Vec<(&'static str, u64, usize)> {
-    let mut scenario = Study::paper_default();
-    scenario.scheduler = scheduler;
+fn exports() -> Vec<(&'static str, u64, usize)> {
+    let scenario = Study::paper_default();
     let study = Study::generate_scenario(0.01, 2015, &scenario);
     let report = study.replay_cloud(&scenario, &Registry::new(), Observers::default()).0;
     let mut predownloads = Vec::new();
@@ -75,10 +73,5 @@ fn exports(scheduler: SchedulerKind) -> Vec<(&'static str, u64, usize)> {
 
 #[test]
 fn heap_exports_match_the_golden() {
-    assert_eq!(exports(SchedulerKind::Heap), GOLDEN, "trace exports drifted on the heap");
-}
-
-#[test]
-fn wheel_exports_match_the_golden() {
-    assert_eq!(exports(SchedulerKind::Wheel), GOLDEN, "trace exports drifted on the wheel");
+    assert_eq!(exports(), GOLDEN, "trace exports drifted");
 }
