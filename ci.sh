@@ -196,6 +196,12 @@ cargo run --release -p odx-bench --bin repro -- check-trace \
 cargo run --release -p odx-bench --bin repro -- attribute \
   --scenario paper-default --scale 0.002
 
+echo "== service smoke: the ODR service over real HTTP, shutdown included =="
+# The scripted demo binds the server, drives every endpoint with real
+# clients and shuts it down; a shutdown that hangs on a kept-alive
+# connection fails this step instead of hanging CI.
+timeout 120 cargo run --release -p odx --example odr_service
+
 echo "== criterion benches (quick mode; incl. disabled-tracing overhead) =="
 ODX_BENCH_QUICK=1 cargo bench -p odx-bench --bench des
 ODX_BENCH_QUICK=1 cargo bench -p odx-bench --bench cache

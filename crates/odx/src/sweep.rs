@@ -28,7 +28,8 @@ use odx_backend::Scenario;
 use odx_cache::PolicyKind;
 use odx_faults::RetryKind;
 use odx_telemetry::{
-    Attribution, Observers, Registry, SeriesRecorder, SeriesSet, SeriesSnapshot, TraceConfig,
+    push_json_str, Attribution, Observers, Registry, SeriesRecorder, SeriesSet, SeriesSnapshot,
+    TraceConfig,
 };
 
 use crate::Study;
@@ -271,13 +272,14 @@ impl SweepReport {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"scenario\":");
+            push_json_str(&mut out, &c.scenario);
             let _ = write!(
                 out,
-                "{{\"scenario\":\"{}\",\"seed\":{},\"requests\":{},\"cache_hits\":{},\
+                ",\"seed\":{},\"requests\":{},\"cache_hits\":{},\
                  \"predownload_failures\":{},\"rejected_fetches\":{},\"impeded_fetches\":{},\
                  \"completed_fetches\":{},\"sim_events\":{},\"hit_ratio\":{},\
                  \"failure_ratio\":{},\"rejection_ratio\":{},\"impeded_ratio\":{}}}",
-                c.scenario,
                 c.seed,
                 c.requests,
                 c.cache_hits,

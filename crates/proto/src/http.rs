@@ -1,9 +1,12 @@
 //! A small HTTP/1.1 subset: enough to serve and consume the ODR API.
 //!
 //! Supported: request line + headers + `Content-Length` bodies, response
-//! writing, case-insensitive header lookup. Not supported (deliberately):
-//! chunked encoding, pipelining, TLS — the ODR service is a tiny
-//! JSON-over-POST API.
+//! writing, case-insensitive header lookup, and persistent connections:
+//! a connection persists per HTTP/1.1 (unless the request says
+//! `connection: close`; an HTTP/1.0 request only with `keep-alive`), and
+//! pipelined requests are read one after another from the same buffered
+//! reader, so they are answered in order. Not supported (deliberately):
+//! chunked encoding, TLS — the ODR service is a tiny JSON-over-POST API.
 
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -75,9 +78,19 @@ impl Request {
     /// Read one request from a stream. `Ok(None)` means the peer closed the
     /// connection cleanly before sending anything.
     pub fn read_from(stream: impl Read) -> Result<Option<Request>, HttpError> {
-        let mut reader = BufReader::new(stream);
+        Ok(Request::read_next(&mut BufReader::new(stream))?.map(|(req, _)| req))
+    }
+
+    /// Read the next request on a connection. Bytes read past its end (a
+    /// pipelined request) stay in `reader` for the next call. The flag
+    /// says whether the connection persists after the response: HTTP/1.1
+    /// unless `connection: close`, HTTP/1.0 only with `keep-alive`.
+    /// `Ok(None)` means the peer closed cleanly before sending anything.
+    pub(crate) fn read_next(
+        reader: &mut impl BufRead,
+    ) -> Result<Option<(Request, bool)>, HttpError> {
         let mut budget = MAX_HEADER_BYTES;
-        let line = read_head_line(&mut reader, &mut budget)?;
+        let line = read_head_line(reader, &mut budget)?;
         if line.is_empty() {
             return Ok(None);
         }
@@ -91,10 +104,11 @@ impl Request {
         if !version.starts_with("HTTP/1.") {
             return Err(HttpError::bad("unsupported version"));
         }
+        let http10 = version == "HTTP/1.0";
 
         let mut headers = Vec::new();
         loop {
-            let hline = read_head_line(&mut reader, &mut budget)?;
+            let hline = read_head_line(reader, &mut budget)?;
             let trimmed = hline.trim_end();
             if trimmed.is_empty() {
                 break;
@@ -115,7 +129,16 @@ impl Request {
         }
         let mut body = vec![0u8; length];
         reader.read_exact(&mut body).map_err(HttpError::io)?;
-        Ok(Some(Request { method, target, headers, body }))
+        let connection_says = |token: &str| {
+            headers
+                .iter()
+                .filter(|(n, _)| n == "connection")
+                .flat_map(|(_, v)| v.split(','))
+                .any(|t| t.trim().eq_ignore_ascii_case(token))
+        };
+        let keep_alive =
+            if http10 { connection_says("keep-alive") } else { !connection_says("close") };
+        Ok(Some((Request { method, target, headers, body }, keep_alive)))
     }
 
     /// Serialize for sending (client side).
@@ -203,8 +226,14 @@ impl Response {
         }
     }
 
-    /// Serialize onto a stream.
-    pub fn write_to(&self, mut w: impl Write) -> std::io::Result<()> {
+    /// Serialize onto a stream, announcing that the connection closes.
+    pub fn write_to(&self, w: impl Write) -> std::io::Result<()> {
+        self.write_with(w, false)
+    }
+
+    /// Serialize onto a stream; the `connection` header announces
+    /// `keep-alive` or `close`.
+    pub(crate) fn write_with(&self, mut w: impl Write, keep_alive: bool) -> std::io::Result<()> {
         let mut buf = Vec::new();
         buf.extend_from_slice(format!("HTTP/1.1 {} {}\r\n", self.status, self.reason()).as_bytes());
         buf.extend_from_slice(format!("content-type: {}\r\n", self.content_type).as_bytes());
@@ -212,7 +241,12 @@ impl Response {
         for (name, value) in &self.extra_headers {
             buf.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
         }
-        buf.extend_from_slice(b"connection: close\r\n\r\n");
+        let connection: &[u8] = if keep_alive {
+            b"connection: keep-alive\r\n\r\n"
+        } else {
+            b"connection: close\r\n\r\n"
+        };
+        buf.extend_from_slice(connection);
         buf.extend_from_slice(&self.body);
         w.write_all(&buf)
     }
@@ -301,6 +335,7 @@ impl std::error::Error for HttpError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_post_with_body() {
@@ -423,6 +458,67 @@ mod tests {
             let mut peer = flood(prefix);
             let result = Response::read_from(&mut peer);
             assert_too_large(result, peer.consumed);
+        }
+    }
+
+    #[test]
+    fn connection_persistence_follows_the_version() {
+        for (raw, persists) in [
+            ("GET / HTTP/1.1\r\n\r\n", true),
+            ("GET / HTTP/1.1\r\nConnection: Close\r\n\r\n", false),
+            ("GET / HTTP/1.1\r\nconnection: upgrade, close\r\n\r\n", false),
+            ("GET / HTTP/1.0\r\n\r\n", false),
+            ("GET / HTTP/1.0\r\nconnection: Keep-Alive\r\n\r\n", true),
+        ] {
+            let (_, kept) = Request::read_next(&mut raw.as_bytes()).unwrap().unwrap();
+            assert_eq!(kept, persists, "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn responses_announce_whether_the_connection_persists() {
+        for (keep_alive, header) in [(true, "connection: keep-alive"), (false, "connection: close")]
+        {
+            let mut wire = Vec::new();
+            Response::text("ok").write_with(&mut wire, keep_alive).unwrap();
+            let text = String::from_utf8(wire).unwrap();
+            assert!(text.contains(&format!("\r\n{header}\r\n")), "{text:?}");
+        }
+        let mut wire = Vec::new();
+        Response::text("ok").write_to(&mut wire).unwrap();
+        assert!(String::from_utf8(wire).unwrap().contains("connection: close"));
+    }
+
+    proptest! {
+        /// N requests concatenated on one stream (a pipelining client) are
+        /// read back one by one through one reader, then a clean end.
+        #[test]
+        fn concatenated_requests_read_back_in_order(
+            sent in prop::collection::vec(
+                (any::<bool>(), "[a-z0-9/]{0,16}", prop::collection::vec(any::<u8>(), 0..64)),
+                0..8,
+            ),
+        ) {
+            let mut wire = Vec::new();
+            for (post, path, body) in &sent {
+                let req = Request {
+                    method: if *post { Method::Post } else { Method::Get },
+                    target: format!("/{path}"),
+                    headers: vec![("host".into(), "odr".into())],
+                    body: body.clone(),
+                };
+                req.write_to(&mut wire).unwrap();
+            }
+            let mut reader = &wire[..];
+            for (post, path, body) in &sent {
+                let (req, kept) = Request::read_next(&mut reader).unwrap().expect("request");
+                prop_assert!(kept);
+                prop_assert_eq!(req.method == Method::Post, *post);
+                prop_assert_eq!(req.target, format!("/{path}"));
+                prop_assert_eq!(req.header("host"), Some("odr"));
+                prop_assert_eq!(&req.body, body);
+            }
+            prop_assert!(Request::read_next(&mut reader).unwrap().is_none());
         }
     }
 

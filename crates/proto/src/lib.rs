@@ -9,9 +9,10 @@
 //! * [`json`] — a minimal JSON value model, serializer and recursive-descent
 //!   parser (no external codec crates).
 //! * [`http`] — an HTTP/1.1 subset: request/response parsing and writing
-//!   with `Content-Length` bodies.
+//!   with `Content-Length` bodies and persistent connections.
 //! * [`server`] — a blocking TCP server whose worker threads each accept
-//!   directly from the shared listener, with graceful shutdown.
+//!   directly from the shared listener and serve kept-alive connections,
+//!   with graceful shutdown.
 //! * [`client`] — a tiny blocking HTTP client for tests and examples.
 //! * [`cookie`] — §6.1's auxiliary-information cookie, so users don't
 //!   re-enter their ISP/bandwidth/AP details on every request.

@@ -240,6 +240,7 @@ mod tests {
     use super::*;
     use crate::client;
     use odx_trace::FileId;
+    use std::io::Write;
 
     fn id_hex(n: u128) -> String {
         FileId(n).to_string()
@@ -282,7 +283,37 @@ mod tests {
         assert!(matches!(parsed, Json::Obj(_)));
         assert!(body.contains("proto.test.sentinel"));
         assert!(body.contains("proto.requests"));
-        server.shutdown();
+
+        // Five scrapes over one kept-alive connection: one more
+        // connection, five more requests. Other tests in this binary bump
+        // the same global counters concurrently, so try until a window
+        // free of their traffic shows the exact deltas.
+        let connections = odx_telemetry::global().counter("proto.connections");
+        let requests = odx_telemetry::global().counter("proto.requests");
+        let mut deltas = Vec::new();
+        'attempt: for _ in 0..50 {
+            let (c0, r0) = (connections.get(), requests.get());
+            let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+            for _ in 0..5 {
+                stream.write_all(b"GET /metrics HTTP/1.1\r\nhost: odr\r\n\r\n").unwrap();
+                match Response::read_from(&stream) {
+                    Ok(resp) if resp.status == 200 => {
+                        assert!(String::from_utf8_lossy(&resp.body).contains("proto.connections"))
+                    }
+                    // The server closed it: a hold released late by the
+                    // previous attempt's connection. Try again.
+                    _ => continue 'attempt,
+                }
+            }
+            let delta = (connections.get() - c0, requests.get() - r0);
+            if delta == (1, 5) {
+                server.shutdown();
+                return;
+            }
+            deltas.push(delta);
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        panic!("no attempt saw (connections, requests) grow by (1, 5): {deltas:?}");
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! **Determinism.** Events pop in `(time, seq)` order: by time, and at one
 //! instant in scheduling order. Every live entry in a level-0 bucket
 //! shares one absolute millisecond (the bucket *is* that millisecond
-//! within the current 256 ms window), so draining a bucket and sorting the
-//! survivors by sequence number yields the scheduling-order tie-break.
+//! within the current 256 ms window), and entries reach a bucket in
+//! scheduling order — directly, or by cascades that re-deal a higher
+//! bucket front to back — so draining a bucket front to back yields the
+//! scheduling-order tie-break with no sort.
 //! Buckets drain in increasing time because the cursor only moves forward
 //! (higher levels cascade downward before their window is reached). An
 //! event scheduled earlier than the cursor — legal on the raw API, and
@@ -317,7 +319,9 @@ impl<E> TimingWheel<E> {
                     scan = slot + 1;
                     continue; // only tombstones — keep scanning
                 }
-                self.ready.sort_unstable_by_key(|e| e.seq);
+                // Buckets fill in seq order (direct placements and
+                // cascades both append in scheduling order), so no sort.
+                debug_assert!(self.ready.windows(2).all(|w| w[0].seq < w[1].seq));
                 self.cur = time;
                 self.ready_loaded = true;
                 return true;

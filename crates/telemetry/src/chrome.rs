@@ -72,9 +72,11 @@ impl TaskTraceSet {
         let _ = write!(
             out,
             "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"sample_every\":\"{}\",\
-             \"scenario\":\"{}\"}}}}",
-            self.sample_every, self.scenario
+             \"scenario\":",
+            self.sample_every
         );
+        crate::export::push_json_str(&mut out, &self.scenario);
+        out.push_str("}}");
         out
     }
 }

@@ -9,8 +9,9 @@ use std::fmt::Write as _;
 
 use crate::registry::Snapshot;
 
-/// Minimal JSON string escaping.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
+/// Append `s` to `out` as a JSON string literal, with minimal escaping:
+/// quotes, backslashes and control characters.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

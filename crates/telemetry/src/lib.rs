@@ -43,6 +43,7 @@ mod task;
 mod trace;
 
 pub use chrome::{validate_chrome_trace, ChromeTraceStats};
+pub use export::push_json_str;
 pub use flight::{FlightDump, FlightEvent, FlightRecorder, FlightSnapshot};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use prof::{render_rows, rows_from_walls, HandlerProfiler, ProfRow};

@@ -2,6 +2,7 @@
 //! byte-identical, sampling drops only whole tasks, and the attribution
 //! waterfall's timed stages exactly tile every task's completion time.
 
+use odx::config::Json;
 use odx::sweep::{run_sweep, SweepSpec};
 use odx::telemetry::{
     validate_chrome_trace, LifecycleReport, Observers, Registry, Stage, TraceConfig,
@@ -107,4 +108,38 @@ fn sweep_attribution_merges_across_shards() {
     assert_eq!(merged, j4.attribution().unwrap());
     assert_eq!(merged.tasks, j1.cells.iter().map(|c| c.attribution.as_ref().unwrap().tasks).sum());
     assert_eq!(merged.total_stage_ms(), merged.total_completion_ms);
+}
+
+/// A scenario name may hold `"` and `\` (scenario files allow them), so
+/// the Chrome trace's `otherData.scenario` and the sweep JSON's
+/// `cells[].scenario` must escape it: both documents parse back to the
+/// exact name.
+#[test]
+fn scenario_names_survive_the_json_exports() {
+    let name = r#"q"x\y"#;
+    let mut scenario = Study::paper_default();
+    scenario.name = name.to_string();
+
+    let observers = Observers { trace: Some(&TraceConfig::full()), ..Observers::default() };
+    let (_, lifecycle) =
+        Study::generate(0.0005, 2015).replay_cloud(&scenario, &Registry::new(), observers);
+    let chrome = lifecycle.expect("tracing was requested").traces.to_chrome_json();
+    let parsed = Json::parse(&chrome).expect("chrome trace is valid JSON");
+    assert_eq!(parsed.get("otherData").and_then(|o| o.get("scenario")?.as_str()), Some(name));
+
+    let report = run_sweep(&SweepSpec {
+        scenarios: vec![scenario],
+        seeds: vec![2015],
+        scale: 0.0005,
+        jobs: 1,
+        trace: None,
+        series_interval_ms: None,
+        progress: false,
+    });
+    let parsed = Json::parse(&report.to_json()).expect("sweep report is valid JSON");
+    let cells = match parsed.get("cells") {
+        Some(Json::Arr(cells)) => cells,
+        other => panic!("no cells array: {other:?}"),
+    };
+    assert_eq!(cells[0].get("scenario").and_then(Json::as_str), Some(name));
 }
