@@ -12,7 +12,6 @@
 //! cargo run --release -p odx-bench --bin repro -- series --out series.csv
 //! cargo run --release -p odx-bench --bin repro -- profile
 //! cargo run --release -p odx-bench --bin repro -- trace --out trace.json
-//! cargo run --release -p odx-bench --bin repro -- bench --json BENCH_pr3.json
 //! cargo run --release -p odx-bench --bin repro -- scenario show cache-pressure
 //! cargo run --release -p odx-bench --bin repro -- scenario dump --all
 //! cargo run --release -p odx-bench --bin repro -- --scenario-file examples/campus-pressure.json sweep --scenario campus-pressure
@@ -23,10 +22,10 @@
 //! Commands: `table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 headline fig13
 //! fig14 table2 fig15 fig16 fig17 ablate-cache ablate-privileged
 //! ablate-storage ablate-dedup ablate-ledbat ablate-concurrency sweep-userbase sweep-cache
-//! attribute trace check-trace sweep cache-compare bench series profile
+//! attribute trace check-trace sweep cache-compare resilience series profile
 //! export-traces list all`.
-//! (`attribute`, `trace`, `check-trace`, `sweep`, `cache-compare`, `bench`,
-//! `series`, `profile`, and `export-traces` are opt-in — they are not part
+//! (`attribute`, `trace`, `check-trace`, `sweep`, `cache-compare`,
+//! `resilience`, `series`, `profile`, and `export-traces` are opt-in — they are not part
 //! of `all`; `list` prints the available commands, scenario presets, and
 //! cache policies.)
 
@@ -72,8 +71,8 @@
 //! as TSV (and the sweep's merged `sweep.json`/`sweep.csv`; for `trace` a
 //! path ending in `.json` names the trace file itself); `--metrics FILE`
 //! writes the final telemetry-registry snapshot as JSON (byte-identical
-//! across same-seed runs of the same commands); `--json FILE` writes
-//! `bench`'s wall-clock report and names `check-trace`'s input.
+//! across same-seed runs of the same commands); `--json FILE` names
+//! `check-trace`'s input (and `scenario check`'s document).
 //!
 //! Lifecycle observability (`DESIGN.md` §observability): `attribute`
 //! replays the cloud week with per-task causal tracing and prints the
@@ -149,7 +148,6 @@ const COMMANDS: &[&str] = &[
     "sweep",
     "cache-compare",
     "resilience",
-    "bench",
     "series",
     "profile",
     "export-traces",
@@ -189,7 +187,7 @@ struct Options {
     trace_sample: u64,
     out: Option<PathBuf>,
     metrics: Option<PathBuf>,
-    /// Where `bench` writes its wall-clock JSON report.
+    /// `--json FILE`: the document `check-trace` and `scenario check` read.
     json: Option<PathBuf>,
     /// `--policy`: restrict `cache-compare` to one policy, and swap the
     /// pool policy of the active scenario for every other command.
@@ -432,7 +430,7 @@ fn main() {
         }
     }
 
-    // `sweep`, `bench`, and the lifecycle commands are standalone: they
+    // `sweep`, `resilience`, and the lifecycle commands are standalone: they
     // build their own per-cell studies, so they run before (and can skip)
     // the shared study below.
     if opts.commands.contains("check-trace") {
@@ -453,9 +451,6 @@ fn main() {
     if opts.commands.contains("resilience") {
         resilience_cmd(&opts);
     }
-    if opts.commands.contains("bench") {
-        bench_report(&opts);
-    }
     if opts.commands.contains("series") {
         series_cmd(&opts);
     }
@@ -468,7 +463,6 @@ fn main() {
             "sweep"
                 | "cache-compare"
                 | "resilience"
-                | "bench"
                 | "series"
                 | "profile"
                 | "attribute"
@@ -500,7 +494,7 @@ fn main() {
     let cloud = needs_cloud.then(|| {
         // Wall-clock perf of the main replay rides along in the registry's
         // separate `wall` section (excluded from `--metrics`, printed by
-        // `headline`, exported only by the full perf report).
+        // `headline`).
         let registry = odx_telemetry::global();
         let events_before = registry.counter("sim.events").get();
         let start = std::time::Instant::now();
@@ -605,13 +599,9 @@ fn cloud_week(study: &Study, scenario: &Scenario) -> WeekReport {
     study.replay_cloud(scenario, global(), Observers::default()).0
 }
 
-/// Record the process peak RSS in the (nondeterministic, export-excluded)
-/// wall section, then write the deterministic global-registry snapshot if
-/// `--metrics` asked. Runs at the end of every command path.
+/// Write the deterministic global-registry snapshot if `--metrics`
+/// asked. Runs at the end of every command path.
 fn write_metrics(opts: &Options) {
-    if let Some(mb) = peak_rss_mb() {
-        odx_telemetry::global().set_wall("proc.peak_rss_mb", mb);
-    }
     if let Some(path) = &opts.metrics {
         let json = odx_telemetry::global().snapshot().to_json();
         std::fs::write(path, &json).expect("write --metrics file");
@@ -1395,257 +1385,6 @@ fn profile_cmd(opts: &Options) {
         "  {} request(s) replayed in {run_secs:.2}s — shares sum to 100% of replay wall",
         report.counters.requests
     );
-}
-
-/// One deterministic churn workload over the timing wheel: `n` schedules
-/// at LCG-drawn deltas past the last fired time (monotone, as the engine
-/// requires of every world), ~60 % cancels of random earlier ids, pops
-/// interleaved every 7th op, then a full drain. Returns the popped-event
-/// count and the wall seconds.
-fn churn(n: usize) -> (u64, f64) {
-    let start = std::time::Instant::now();
-    let mut q = odx::sim::TimingWheel::with_capacity(n);
-    let mut ids = Vec::with_capacity(n);
-    let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-    let mut pops = 0u64;
-    let mut now = 0u64;
-    for i in 0..n as u64 {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ids.push(q.schedule(odx::sim::SimTime::from_millis(now + (x >> 33) % 1_000_000), i));
-        if i % 5 != 0 && i % 5 != 3 {
-            q.cancel(ids[((x >> 20) as usize) % ids.len()]);
-        }
-        if i % 7 == 0 {
-            if let Some((t, _)) = q.pop() {
-                now = t.as_millis();
-                pops += 1;
-            }
-        }
-    }
-    pops += std::iter::from_fn(|| q.pop()).count() as u64;
-    (pops, start.elapsed().as_secs_f64())
-}
-
-fn bench_report(opts: &Options) {
-    use odx::sweep::{run_sweep, SweepSpec};
-    section("Bench — DES hot-path wall-clock report (nondeterministic)");
-
-    let ops: usize = 120_000;
-    let (wheel_pops, wheel_secs) = churn(ops);
-    let wheel_eps = wheel_pops as f64 / wheel_secs.max(1e-9);
-    println!("  event-queue churn ({ops} schedules, ~60% cancels, {wheel_pops} fired):");
-    println!("    timing wheel  {wheel_eps:>12.0} events/sec  ({wheel_secs:.3}s)");
-
-    let shard = run_sweep(&SweepSpec {
-        scenarios: vec![opts.scenario.clone()],
-        seeds: vec![opts.seed],
-        scale: opts.scale,
-        jobs: 1,
-        trace: None,
-        series_interval_ms: None,
-        progress: false,
-    });
-    let cell = &shard.cells[0];
-    let shard_eps = cell.sim_events as f64 / cell.wall_secs.max(1e-9);
-    println!(
-        "  cloud week shard ({} @ scale {}): {} events in {:.2}s — {:.0} events/sec",
-        cell.scenario, opts.scale, cell.sim_events, cell.wall_secs, shard_eps
-    );
-
-    // Lifecycle-tracing overhead on the same shard: sampled 1/16 tracing
-    // should stay cheap, and the `trace: None` path must stay essentially
-    // free (the criterion bench in `benches/des.rs` holds it under 5%).
-    let traced = run_sweep(&SweepSpec {
-        scenarios: vec![opts.scenario.clone()],
-        seeds: vec![opts.seed],
-        scale: opts.scale,
-        jobs: 1,
-        trace: Some(TraceConfig::sampled(16)),
-        series_interval_ms: None,
-        progress: false,
-    });
-    let traced_cell = &traced.cells[0];
-    let traced_eps = traced_cell.sim_events as f64 / traced_cell.wall_secs.max(1e-9);
-    let trace_overhead = traced_cell.wall_secs / cell.wall_secs.max(1e-9) - 1.0;
-    println!(
-        "  same shard, lifecycle tracing 1/16: {:.2}s — {:.0} events/sec ({:+.1}% wall)",
-        traced_cell.wall_secs,
-        traced_eps,
-        100.0 * trace_overhead
-    );
-
-    let sweep_scale = (opts.scale / 10.0).max(0.002);
-    let sweep = run_sweep(&SweepSpec {
-        scenarios: Study::scenarios().all().to_vec(),
-        seeds: vec![opts.seed, opts.seed + 1],
-        scale: sweep_scale,
-        jobs: opts.jobs,
-        trace: None,
-        series_interval_ms: None,
-        progress: false,
-    });
-    println!(
-        "  full sweep ({} cells @ scale {} on {} worker(s)): {:.2}s — {:.0} events/sec aggregate",
-        sweep.cells.len(),
-        sweep_scale,
-        sweep.jobs,
-        sweep.wall_secs,
-        sweep.events_per_sec()
-    );
-
-    // Per-policy cache churn: one LCG-driven lookup/insert mix per policy
-    // at a budget tight enough to keep eviction on the hot path. Purely a
-    // wall-clock probe — correctness is pinned by the odx-cache tests.
-    let cache_ops: usize = 200_000;
-    println!("  cache churn ({cache_ops} ops, 4096-key universe, 5 GB budget):");
-    let mut cache_json = String::from("{");
-    for (i, policy) in PolicyKind::ALL.iter().enumerate() {
-        let mut cache = policy.build(5_000.0, 1024);
-        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-        let mut hits = 0u64;
-        let mut evictions = 0u64;
-        let start = std::time::Instant::now();
-        for op in 0..cache_ops as u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let key = (x >> 40) % 4096;
-            if x & 1 == 0 {
-                hits += u64::from(cache.lookup(key, op).is_some());
-            } else {
-                let size_mb = 1.0 + ((x >> 16) % 64) as f64;
-                evictions += cache.insert(key, size_mb, op).len() as u64;
-            }
-        }
-        let secs = start.elapsed().as_secs_f64();
-        let ops_per_sec = cache_ops as f64 / secs.max(1e-9);
-        println!(
-            "    {:<8} {ops_per_sec:>12.0} ops/sec  ({secs:.3}s, {hits} hits, {evictions} evictions)",
-            policy.name()
-        );
-        if i > 0 {
-            cache_json.push(',');
-        }
-        cache_json.push_str(&format!(
-            "\"{}\":{{\"secs\":{secs:.3},\"ops_per_sec\":{ops_per_sec:.0},             \"hits\":{hits},\"evictions\":{evictions}}}",
-            policy.name()
-        ));
-    }
-    cache_json.push('}');
-
-    // Full-scale week: the paper's whole measurement week (scale 1.0,
-    // 4.08 M tasks) generated once, then replayed best-of-N, with every
-    // rep's metrics export asserted byte-identical before timing is
-    // reported. `ODX_BENCH_QUICK=1` shrinks the scale so smoke runs stay
-    // fast.
-    let full_scale = if std::env::var_os("ODX_BENCH_QUICK").is_some() { 0.01 } else { 1.0 };
-    // Wall-clock on shared machines is noisy; interleaving the plain and
-    // profiled replays rep by rep and keeping each one's best makes the
-    // overhead ratio robust to transient load.
-    let reps = 5;
-    println!(
-        "  full week ({} @ scale {full_scale}, replay only, best of {reps}):",
-        opts.scenario.name
-    );
-    let study = odx::Study::generate_scenario(full_scale, opts.seed, &opts.scenario);
-    let mut best_secs = f64::INFINITY;
-    let mut best_prof_secs = f64::INFINITY;
-    let prof_registry = Registry::new();
-    let mut snapshot: Option<String> = None;
-    let mut sim_events = 0u64;
-    for _ in 0..reps {
-        let start = std::time::Instant::now();
-        let profiled = Observers { profile: true, ..Observers::default() };
-        let _ = study.replay_cloud(&opts.scenario, &prof_registry, profiled);
-        best_prof_secs = best_prof_secs.min(start.elapsed().as_secs_f64());
-        let registry = Registry::new();
-        let start = std::time::Instant::now();
-        study.replay_cloud(&opts.scenario, &registry, Observers::default());
-        best_secs = best_secs.min(start.elapsed().as_secs_f64());
-        let snap = registry.snapshot();
-        sim_events = snap.counters["sim.events"];
-        let json = snap.to_json();
-        assert!(
-            snapshot.as_ref().map_or(true, |first| *first == json),
-            "same-seed replays must export byte-identical metrics"
-        );
-        snapshot = Some(json);
-    }
-    let rss = peak_rss_mb();
-    println!(
-        "    {:>12.0} events/sec  ({} events, {:.2}s); exports byte-identical{}",
-        sim_events as f64 / best_secs.max(1e-9),
-        sim_events,
-        best_secs,
-        rss.map_or(String::new(), |mb| format!("; peak RSS {mb:.0} MB"))
-    );
-
-    // The measured handler/scheduler split: BENCH_pr8 inferred ~75 % /
-    // ~25 % from end-to-end subtraction; the profiler buckets it per
-    // event kind. Shares come from the last profiled rep (ratios are
-    // stable across reps), the overhead from best-of-{reps} walls.
-    let prof_wall = prof_registry.snapshot().wall;
-    let (prof_rows, prof_run_secs) =
-        rows_from_walls(&prof_wall).expect("profiled replay flushed prof.* walls");
-    println!("  same week, per-handler wall profiler attached (best of {reps}):");
-    for line in render_rows(&prof_rows, prof_run_secs).lines() {
-        println!("    {line}");
-    }
-    let handler_secs: f64 =
-        prof_rows.iter().filter(|r| r.label.starts_with("handler.")).map(|r| r.secs).sum();
-    let sched_secs =
-        prof_rows.iter().find(|r| r.label == "sched.pop").map(|r| r.secs).unwrap_or(0.0);
-    let handler_share = handler_secs / prof_run_secs.max(1e-9);
-    let sched_share = sched_secs / prof_run_secs.max(1e-9);
-    let prof_overhead = best_prof_secs / best_secs.max(1e-9) - 1.0;
-    println!(
-        "    handlers {:.0}% / scheduler {:.0}% of replay wall (BENCH_pr8 inferred ~75/~25); \
-         profiler overhead {:+.1}% vs the plain replay",
-        100.0 * handler_share,
-        100.0 * sched_share,
-        100.0 * prof_overhead
-    );
-    let profile_json = format!(
-        "{{\"secs\":{best_prof_secs:.3},\"run_secs\":{prof_run_secs:.3},\
-         \"handler_share\":{handler_share:.3},\"sched_share\":{sched_share:.3},\
-         \"overhead\":{prof_overhead:.3}}}"
-    );
-    let full_week_json = format!(
-        "{{\"scenario\":\"{}\",\"scale\":{full_scale},\"sim_events\":{sim_events},\
-         \"wheel\":{{\"secs\":{:.3},\"events_per_sec\":{:.0}}},\
-         \"exports_identical\":true,\"peak_rss_mb\":{}}}",
-        opts.scenario.name,
-        best_secs,
-        sim_events as f64 / best_secs.max(1e-9),
-        rss.map_or("null".to_owned(), |mb| format!("{mb:.0}"))
-    );
-
-    if let Some(path) = &opts.json {
-        let json = format!(
-            "{{\"event_queue_churn\":{{\"schedules\":{ops},\"fired\":{wheel_pops},\
-             \"wheel\":{{\"secs\":{wheel_secs},\"events_per_sec\":{wheel_eps:.0}}}}},\
-             \"cloud_week\":{{\"scenario\":\"{}\",\"scale\":{},\"sim_events\":{},\
-             \"secs\":{:.3},\"events_per_sec\":{:.0}}},\
-             \"cloud_week_traced\":{{\"sample_every\":16,\"secs\":{:.3},\
-             \"events_per_sec\":{traced_eps:.0},\"overhead\":{trace_overhead:.3}}},\
-             \"sweep\":{{\"cells\":{},\"jobs\":{},\"scale\":{},\"total_events\":{},\
-             \"secs\":{:.3},\"events_per_sec\":{:.0}}},\
-             \"cache_churn\":{{\"ops\":{cache_ops},\"policies\":{cache_json}}},\
-             \"full_week\":{full_week_json},\"profile\":{profile_json}}}\n",
-            cell.scenario,
-            opts.scale,
-            cell.sim_events,
-            cell.wall_secs,
-            shard_eps,
-            traced_cell.wall_secs,
-            sweep.cells.len(),
-            sweep.jobs,
-            sweep_scale,
-            sweep.total_events(),
-            sweep.wall_secs,
-            sweep.events_per_sec()
-        );
-        std::fs::write(path, &json).expect("write --json file");
-        println!("  [bench report → {}]", path.display());
-    }
 }
 
 fn fig13(report: &odx::backend::ApBenchReport, opts: &Options) {

@@ -1,16 +1,14 @@
 #![warn(missing_docs)]
 
-//! # odx-bench — benchmarks and the figure/table reproduction harness
+//! # odx-bench — the figure/table reproduction harness
 //!
-//! Two entry points:
+//! `cargo run --release -p odx-bench --bin repro [-- <command>]` prints
+//! every table and figure of the paper next to the values this
+//! reproduction measures (and optionally dumps the plotted series as TSV).
+//! Timing lives in the standalone `perfbench/` crate, which reads
+//! [`peak_rss_mb`] from here.
 //!
-//! * `cargo run --release -p odx-bench --bin repro [-- <command>]` — print
-//!   every table and figure of the paper next to the values this
-//!   reproduction measures (and optionally dump the plotted series as TSV).
-//! * `cargo bench -p odx-bench` — Criterion micro/macro benchmarks, one
-//!   group per experiment plus core data-structure microbenchmarks.
-//!
-//! Shared helpers for both live here.
+//! The row-formatting helpers `repro` shares live here.
 
 use odx::stats::Summary;
 

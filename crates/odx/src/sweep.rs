@@ -15,8 +15,7 @@
 //! [`SweepReport::to_csv`]) are therefore **byte-identical for any worker
 //! count, including 1**. Wall-clock perf numbers (per-shard seconds,
 //! events/sec) are collected alongside but deliberately kept out of those
-//! exports; they surface on stdout and through
-//! [`odx_telemetry::Snapshot::to_json_full`]-style perf reporting instead.
+//! exports; they surface on stdout instead.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -8,6 +8,7 @@
 //! reader, so they are answered in order. Not supported (deliberately):
 //! chunked encoding, TLS — the ODR service is a tiny JSON-over-POST API.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -159,9 +160,12 @@ impl Request {
 pub struct Response {
     /// Status code.
     pub status: u16,
-    /// Content type of the body.
-    pub content_type: &'static str,
-    /// Additional headers (e.g. `Set-Cookie`).
+    /// Content type of the body. Responses the server builds borrow a
+    /// static string; a parsed response owns what the peer sent.
+    pub content_type: Cow<'static, str>,
+    /// Additional headers (e.g. `Set-Cookie`). A parsed response keeps
+    /// every header but `content-type` and `content-length` here, names
+    /// lowercased.
     pub extra_headers: Vec<(String, String)>,
     /// Response body.
     pub body: Vec<u8>,
@@ -172,7 +176,7 @@ impl Response {
     pub fn json(body: impl Into<String>) -> Response {
         Response {
             status: 200,
-            content_type: "application/json",
+            content_type: Cow::Borrowed("application/json"),
             extra_headers: Vec::new(),
             body: body.into().into(),
         }
@@ -182,7 +186,7 @@ impl Response {
     pub fn text(body: impl Into<String>) -> Response {
         Response {
             status: 200,
-            content_type: "text/plain",
+            content_type: Cow::Borrowed("text/plain"),
             extra_headers: Vec::new(),
             body: body.into().into(),
         }
@@ -192,7 +196,7 @@ impl Response {
     pub fn html(body: impl Into<String>) -> Response {
         Response {
             status: 200,
-            content_type: "text/html; charset=utf-8",
+            content_type: Cow::Borrowed("text/html; charset=utf-8"),
             extra_headers: Vec::new(),
             body: body.into().into(),
         }
@@ -209,7 +213,7 @@ impl Response {
         let body = crate::Json::obj([("error", crate::Json::Str(message.to_owned()))]);
         Response {
             status,
-            content_type: "application/json",
+            content_type: Cow::Borrowed("application/json"),
             extra_headers: Vec::new(),
             body: body.to_string_compact().into(),
         }
@@ -253,9 +257,16 @@ impl Response {
 
     /// Parse a response from a stream (client side).
     pub fn read_from(stream: impl Read) -> Result<Response, HttpError> {
-        let mut reader = BufReader::new(stream);
+        Response::read_next(&mut BufReader::new(stream))
+    }
+
+    /// Read the next response on a connection. Bytes read past its end (a
+    /// pipelined response) stay in `reader` for the next call. A response
+    /// without `content-type` reports `application/octet-stream`, the
+    /// type a recipient may assume (RFC 9110 §8.3).
+    pub(crate) fn read_next(reader: &mut impl BufRead) -> Result<Response, HttpError> {
         let mut budget = MAX_HEADER_BYTES;
-        let line = read_head_line(&mut reader, &mut budget)?;
+        let line = read_head_line(reader, &mut budget)?;
         let mut parts = line.trim_end().split(' ');
         let version = parts.next().unwrap_or("");
         if !version.starts_with("HTTP/1.") {
@@ -265,18 +276,23 @@ impl Response {
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| HttpError::bad("bad status code"))?;
+        let mut content_type = Cow::Borrowed("application/octet-stream");
+        let mut extra_headers = Vec::new();
         let mut length = 0usize;
         loop {
-            let hline = read_head_line(&mut reader, &mut budget)?;
+            let hline = read_head_line(reader, &mut budget)?;
             let trimmed = hline.trim_end();
             if trimmed.is_empty() {
                 break;
             }
-            if let Some((name, value)) = trimmed.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    length =
-                        value.trim().parse().map_err(|_| HttpError::bad("bad content-length"))?;
+            let Some((name, value)) = trimmed.split_once(':') else { continue };
+            let (name, value) = (name.trim().to_ascii_lowercase(), value.trim());
+            match name.as_str() {
+                "content-length" => {
+                    length = value.parse().map_err(|_| HttpError::bad("bad content-length"))?;
                 }
+                "content-type" => content_type = Cow::Owned(value.to_owned()),
+                _ => extra_headers.push((name, value.to_owned())),
             }
         }
         if length > MAX_BODY_BYTES {
@@ -284,7 +300,7 @@ impl Response {
         }
         let mut body = vec![0u8; length];
         reader.read_exact(&mut body).map_err(HttpError::io)?;
-        Ok(Response { status, content_type: "application/json", extra_headers: Vec::new(), body })
+        Ok(Response { status, content_type, extra_headers, body })
     }
 }
 

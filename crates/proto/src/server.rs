@@ -349,38 +349,9 @@ mod tests {
         assert!(again.is_ok());
     }
 
-    /// One response read off a connection: status, `connection` header
-    /// and body. Reads through the connection's one `BufReader`, so
-    /// pipelined responses are not lost between calls.
-    struct Reply {
-        status: u16,
-        connection: String,
-        body: Vec<u8>,
-    }
-
-    fn read_reply(r: &mut BufReader<TcpStream>) -> Reply {
-        use std::io::BufRead;
-        let mut line = String::new();
-        r.read_line(&mut line).unwrap();
-        let status = line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("bad status line {line:?}"));
-        let (mut connection, mut length) = (String::new(), 0);
-        loop {
-            line.clear();
-            r.read_line(&mut line).unwrap();
-            let Some((name, value)) = line.trim_end().split_once(':') else { break };
-            match name {
-                "connection" => connection = value.trim().to_owned(),
-                "content-length" => length = value.trim().parse().unwrap(),
-                _ => {}
-            }
-        }
-        let mut body = vec![0; length];
-        r.read_exact(&mut body).unwrap();
-        Reply { status, connection, body }
+    /// The `connection` header of a reply, `""` when it has none.
+    fn connection(reply: &Response) -> &str {
+        reply.extra_headers.iter().find(|(n, _)| n == "connection").map_or("", |(_, v)| v)
     }
 
     /// A raw client connection: the write half and a reader on a clone.
@@ -395,10 +366,10 @@ mod tests {
         format!("GET {path} HTTP/1.1\r\nhost: test\r\n\r\n")
     }
 
-    fn exchange(conn: &mut (TcpStream, BufReader<TcpStream>), raw: &str) -> Reply {
+    fn exchange(conn: &mut (TcpStream, BufReader<TcpStream>), raw: &str) -> Response {
         use std::io::Write;
         conn.0.write_all(raw.as_bytes()).unwrap();
-        read_reply(&mut conn.1)
+        Response::read_next(&mut conn.1).unwrap()
     }
 
     fn at_eof(r: &mut BufReader<TcpStream>) -> bool {
@@ -413,7 +384,7 @@ mod tests {
         for path in ["/a", "/b", "/c"] {
             let reply = exchange(&mut conn, &get(path));
             assert_eq!(reply.status, 200);
-            assert_eq!(reply.connection, "keep-alive");
+            assert_eq!(connection(&reply), "keep-alive");
             assert_eq!(reply.body, format!("path:{path}").into_bytes());
         }
         server.shutdown();
@@ -425,7 +396,7 @@ mod tests {
         for raw in ["GET /x HTTP/1.1\r\nconnection: close\r\n\r\n", "GET /x HTTP/1.0\r\n\r\n"] {
             let mut conn = open(&server);
             let reply = exchange(&mut conn, raw);
-            assert_eq!((reply.status, reply.connection.as_str()), (200, "close"), "{raw:?}");
+            assert_eq!((reply.status, connection(&reply)), (200, "close"), "{raw:?}");
             assert!(at_eof(&mut conn.1), "{raw:?}: connection left open");
         }
         server.shutdown();
@@ -438,8 +409,8 @@ mod tests {
         let mut conn = open(&server);
         let both = format!("{}POST /two HTTP/1.1\r\ncontent-length: 3\r\n\r\nabc", get("/one"));
         conn.0.write_all(both.as_bytes()).unwrap();
-        assert_eq!(read_reply(&mut conn.1).body, b"path:/one");
-        assert_eq!(read_reply(&mut conn.1).body, b"echo:abc");
+        assert_eq!(Response::read_next(&mut conn.1).unwrap().body, b"path:/one");
+        assert_eq!(Response::read_next(&mut conn.1).unwrap().body, b"echo:abc");
         server.shutdown();
     }
 
@@ -447,14 +418,14 @@ mod tests {
     fn second_client_is_served_while_the_first_idles() {
         let server = echo_server();
         let mut first = open(&server);
-        assert_eq!(exchange(&mut first, &get("/1")).connection, "keep-alive");
+        assert_eq!(connection(&exchange(&mut first, &get("/1"))), "keep-alive");
         // One of the two workers holds `first`; the other must stay free
         // to accept, so it serves the second client and closes.
         let mut second = open(&server);
         let reply = exchange(&mut second, &get("/2"));
-        assert_eq!((reply.status, reply.connection.as_str()), (200, "close"));
+        assert_eq!((reply.status, connection(&reply)), (200, "close"));
         assert!(at_eof(&mut second.1));
-        assert_eq!(exchange(&mut first, &get("/3")).connection, "keep-alive");
+        assert_eq!(connection(&exchange(&mut first, &get("/3"))), "keep-alive");
         server.shutdown();
     }
 
@@ -465,7 +436,7 @@ mod tests {
         for _ in 0..3 {
             let mut conn = open(&server);
             let reply = exchange(&mut conn, &get("/"));
-            assert_eq!((reply.status, reply.connection.as_str()), (200, "close"));
+            assert_eq!((reply.status, connection(&reply)), (200, "close"));
             assert!(at_eof(&mut conn.1));
         }
         server.shutdown();
@@ -475,9 +446,9 @@ mod tests {
     fn malformed_request_on_a_kept_connection_gets_400_and_closes() {
         let server = echo_server();
         let mut conn = open(&server);
-        assert_eq!(exchange(&mut conn, &get("/ok")).connection, "keep-alive");
+        assert_eq!(connection(&exchange(&mut conn, &get("/ok"))), "keep-alive");
         let reply = exchange(&mut conn, "BREW / HTTP/1.1\r\n\r\n");
-        assert_eq!((reply.status, reply.connection.as_str()), (400, "close"));
+        assert_eq!((reply.status, connection(&reply)), (400, "close"));
         assert!(at_eof(&mut conn.1));
         server.shutdown();
     }
@@ -502,7 +473,7 @@ mod tests {
     fn shutdown_is_prompt_while_a_kept_connection_idles() {
         let server = echo_server();
         let mut conn = open(&server);
-        assert_eq!(exchange(&mut conn, &get("/idle")).connection, "keep-alive");
+        assert_eq!(connection(&exchange(&mut conn, &get("/idle"))), "keep-alive");
         let start = std::time::Instant::now();
         server.shutdown();
         let took = start.elapsed();

@@ -81,17 +81,28 @@ proptest! {
         let _ = Response::read_from(&bytes[..]);
     }
 
-    /// HTTP responses round-trip status and body through the wire format.
+    /// HTTP responses round-trip status, content type, extra headers and
+    /// body through the wire format.
     #[test]
     fn http_response_round_trips(
         body in prop::collection::vec(any::<u8>(), 0..512),
         status in 100u16..600,
+        cookie in "[a-zA-Z0-9=%;]{1,32}",
     ) {
-        let resp = Response { status, body: body.clone(), ..Response::text("") };
+        let resp = Response { status, body: body.clone(), ..Response::text("") }
+            .with_header("set-cookie", cookie.clone());
         let mut wire = Vec::new();
         resp.write_to(&mut wire).unwrap();
         let parsed = Response::read_from(&wire[..]).expect("own output parses");
         prop_assert_eq!(parsed.status, status);
+        prop_assert_eq!(&parsed.content_type[..], "text/plain");
+        let set_cookie: Vec<&str> = parsed
+            .extra_headers
+            .iter()
+            .filter(|(n, _)| n == "set-cookie")
+            .map(|(_, v)| v.as_str())
+            .collect();
+        prop_assert_eq!(set_cookie, vec![cookie.as_str()]);
         prop_assert_eq!(&parsed.body[..], &body[..]);
     }
 }

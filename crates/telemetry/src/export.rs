@@ -43,20 +43,8 @@ pub(crate) fn push_json_f64(out: &mut String, v: f64) {
 impl Snapshot {
     /// The deterministic sections of the snapshot as a compact JSON
     /// document. Wall-clock measurements ([`Snapshot::wall`]) are omitted
-    /// so same-seed runs export byte-identical documents; use
-    /// [`Snapshot::to_json_full`] when perf numbers should ride along.
+    /// so same-seed runs export byte-identical documents.
     pub fn to_json(&self) -> String {
-        self.render_json(false)
-    }
-
-    /// The whole snapshot — including the nondeterministic `wall` section —
-    /// as a compact JSON document. Not byte-stable across runs; meant for
-    /// perf reports (`repro bench`), not for snapshot diffing.
-    pub fn to_json_full(&self) -> String {
-        self.render_json(true)
-    }
-
-    fn render_json(&self, include_wall: bool) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\"counters\":{");
         for (i, (name, value)) in self.counters.iter().enumerate() {
@@ -95,18 +83,6 @@ impl Snapshot {
             out.push_str("]}");
         }
         out.push('}');
-        if include_wall {
-            out.push_str(",\"wall\":{");
-            for (i, (name, value)) in self.wall.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_json_str(&mut out, name);
-                out.push(':');
-                push_json_f64(&mut out, *value);
-            }
-            out.push('}');
-        }
         let _ = write!(out, ",\"trace\":{{\"dropped\":{},\"events\":[", self.trace.dropped);
         for (i, event) in self.trace.events.iter().enumerate() {
             if i > 0 {
@@ -170,16 +146,14 @@ mod tests {
     }
 
     #[test]
-    fn wall_section_only_in_full_export() {
+    fn wall_section_never_exported() {
         let registry = Registry::new();
         registry.counter("events").add(7);
         registry.set_wall("sim.events_per_sec", 123456.5);
         let snap = registry.snapshot();
         let stable = snap.to_json();
         assert!(!stable.contains("events_per_sec"), "wall metrics must not leak: {stable}");
-        let full = snap.to_json_full();
-        assert!(full.contains("\"wall\":{\"sim.events_per_sec\":123456.5}"), "{full}");
-        assert!(full.contains("\"events\":7"));
+        assert!(stable.contains("\"events\":7"));
         // CSV export likewise stays wall-free.
         assert!(!snap.to_csv().contains("events_per_sec"));
     }

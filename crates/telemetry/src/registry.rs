@@ -142,10 +142,10 @@ impl Registry {
     ///
     /// Wall metrics live in the snapshot's separate [`Snapshot::wall`]
     /// section and are excluded from the deterministic
-    /// [`Snapshot::to_json`] / [`Snapshot::to_csv`] exports — use
-    /// [`Snapshot::to_json_full`] to export them too. This is how perf
-    /// numbers (`sim.events_per_sec`, run wall time) ride along without
-    /// breaking the byte-identical-across-same-seed-runs guarantee.
+    /// [`Snapshot::to_json`] / [`Snapshot::to_csv`] exports; read them back
+    /// in-process through [`Registry::wall`] or the snapshot. This is how
+    /// perf numbers (`sim.events_per_sec`, run wall time) ride along
+    /// without breaking the byte-identical-across-same-seed-runs guarantee.
     pub fn set_wall(&self, name: &str, value: f64) {
         self.inner.walls.lock().unwrap_or_else(|e| e.into_inner()).insert(name.to_owned(), value);
     }

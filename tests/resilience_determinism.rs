@@ -80,7 +80,7 @@ fn zero_intensity_plan_reproduces_the_golden_sweep_exports() {
     );
 }
 
-/// The PR's acceptance criterion: on `cache-pressure` under the same
+/// Retry must pay off: on `cache-pressure` under the same
 /// fault plan, exponential backoff shows a lower failure share than
 /// `retry.policy=none`.
 #[test]
