@@ -132,6 +132,15 @@ cargo run --release -p odx-bench --bin repro -- series \
 diff "$SWEEP_TMP/series/series.json" tests/golden/series_paper_default_s2015_scale002.json
 echo "series above one arrival window identical to the golden"
 
+echo "== concurrency golden: the smart-AP concurrency ablation's table is byte-identical =="
+# `smartap::concurrent` is the one caller of the engine's run loop
+# outside the cloud week (`run_to_completion`, the merged loop over an
+# empty arrival stream); its table is pinned byte for byte.
+cargo run --release -p odx-bench --bin repro -- ablate-concurrency \
+  --scale 0.01 --sample 100 > "$SWEEP_TMP/ablate_concurrency.txt"
+diff "$SWEEP_TMP/ablate_concurrency.txt" tests/golden/ablate_concurrency_s2015_scale001_sample100.txt
+echo "concurrency ablation identical to the golden"
+
 echo "== trace exports: the three TSVs and six Fig 8/9 CDF dumps match their checksums =="
 # Pinned before the per-task records became ledger columns: the exports
 # as the CLI writes them must not move a byte.

@@ -161,7 +161,7 @@ impl SmartApBenchmark {
         }
         let lifecycle = observers.trace.map(Lifecycle::new);
         let mut backends: Vec<SmartApBackend> =
-            fleet.iter().map(|&ap| SmartApBackend::bench(ap)).collect();
+            fleet.iter().map(|&ap| SmartApBackend::bench(ap, registry)).collect();
         let mut cloud = CloudContentState::new();
         let mut records = Vec::with_capacity(sample.len());
         // One virtual clock per AP line: the benchmark replays each AP's

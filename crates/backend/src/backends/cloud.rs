@@ -3,6 +3,7 @@
 use odx_net::BarrierModel;
 use odx_p2p::{HttpFtpModel, SwarmModel};
 use odx_stats::dist::{u01, Dist, LogNormal};
+use odx_telemetry::Registry;
 
 use crate::config::{apply_dynamics, BackendConfig};
 use crate::{BackendMetrics, ExecCtx, Outcome, ProxyBackend, ProxyRequest};
@@ -30,21 +31,17 @@ pub struct CloudBackend {
 }
 
 impl CloudBackend {
-    /// A cloud backend with the given evaluation config.
-    pub fn new(cfg: BackendConfig) -> Self {
+    /// A cloud backend with the given evaluation config, recording
+    /// `backend.cloud.*` into `registry`.
+    pub fn new(cfg: BackendConfig, registry: &Registry) -> Self {
         CloudBackend {
             cfg,
             swarm: SwarmModel::default(),
             http: HttpFtpModel::default(),
             barrier: BarrierModel::default(),
             efficiency: super::efficiency_dist(),
-            metrics: BackendMetrics::global("cloud"),
+            metrics: BackendMetrics::new(registry, "cloud"),
         }
-    }
-
-    /// Re-point this backend's metrics at `registry`.
-    pub fn rebind_metrics(&mut self, registry: &odx_telemetry::Registry) {
-        self.metrics = BackendMetrics::new(registry, "cloud");
     }
 
     /// Finish a successful user fetch: residual dynamics, then the ISP

@@ -1,6 +1,7 @@
 //! The cloud→AP relay proxy (the Bottleneck 1 escape hatch).
 
 use odx_stats::dist::{Dist, LogNormal};
+use odx_telemetry::Registry;
 
 use crate::config::{apply_dynamics, BackendConfig};
 use crate::{BackendMetrics, ExecCtx, Outcome, ProxyBackend, ProxyRequest};
@@ -16,18 +17,14 @@ pub struct CloudAssistedApBackend {
 }
 
 impl CloudAssistedApBackend {
-    /// A relay backend with the given evaluation config.
-    pub fn new(cfg: BackendConfig) -> Self {
+    /// A relay backend with the given evaluation config, recording
+    /// `backend.cloud+smart-ap.*` into `registry`.
+    pub fn new(cfg: BackendConfig, registry: &Registry) -> Self {
         CloudAssistedApBackend {
             cfg,
             efficiency: super::efficiency_dist(),
-            metrics: BackendMetrics::global("cloud+smart-ap"),
+            metrics: BackendMetrics::new(registry, "cloud+smart-ap"),
         }
-    }
-
-    /// Re-point this backend's metrics at `registry`.
-    pub fn rebind_metrics(&mut self, registry: &odx_telemetry::Registry) {
-        self.metrics = BackendMetrics::new(registry, "cloud+smart-ap");
     }
 }
 

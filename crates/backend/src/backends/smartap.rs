@@ -3,6 +3,7 @@
 use odx_p2p::{SourceOutcome, SwarmModel};
 use odx_smartap::ApEngine;
 use odx_stats::dist::{Dist, LogNormal};
+use odx_telemetry::Registry;
 
 use crate::config::{apply_dynamics, BackendConfig};
 use crate::{ApContext, BackendMetrics, ExecCtx, Outcome, ProxyBackend, ProxyRequest};
@@ -28,41 +29,30 @@ pub struct SmartApBackend {
 }
 
 impl SmartApBackend {
-    /// The §6.2 evaluation backend (used by ODR's replay).
-    pub fn hot_relay(cfg: BackendConfig) -> Self {
+    /// The §6.2 evaluation backend (used by ODR's replay), recording
+    /// `backend.smart-ap.*` into `registry`.
+    pub fn hot_relay(cfg: BackendConfig, registry: &Registry) -> Self {
         SmartApBackend {
             cfg,
             mode: Mode::HotRelay {
                 swarm: SwarmModel::default(),
                 efficiency: super::efficiency_dist(),
             },
-            metrics: BackendMetrics::global("smart-ap"),
+            metrics: BackendMetrics::new(registry, "smart-ap"),
         }
     }
 
     /// The §5.1 benchmark backend for one AP with its actual storage setup
-    /// (used by [`crate::SmartApBenchmark`] and the AP-fleet scenarios).
-    pub fn bench(ap: ApContext) -> Self {
+    /// (used by [`crate::SmartApBenchmark`] and the AP-fleet scenarios),
+    /// recording `backend.smart-ap.*` into `registry`.
+    pub fn bench(ap: ApContext, registry: &Registry) -> Self {
         let storage = odx_smartap::StorageSetup { device: ap.device, fs: ap.fs };
         SmartApBackend {
             cfg: BackendConfig::default(),
             mode: Mode::Bench {
                 engine: ApEngine::new(ap.model, storage, odx_smartap::ApEngineConfig::default()),
             },
-            metrics: BackendMetrics::global("smart-ap"),
-        }
-    }
-
-    /// Re-point this backend's metrics at `registry`.
-    pub fn rebind_metrics(&mut self, registry: &odx_telemetry::Registry) {
-        self.metrics = BackendMetrics::new(registry, "smart-ap");
-    }
-
-    /// The AP model under test, for benchmark-mode backends.
-    pub fn bench_model(&self) -> Option<odx_smartap::ApModel> {
-        match &self.mode {
-            Mode::Bench { engine } => Some(engine.model()),
-            Mode::HotRelay { .. } => None,
+            metrics: BackendMetrics::new(registry, "smart-ap"),
         }
     }
 }

@@ -2,6 +2,7 @@
 
 use odx_p2p::{SourceOutcome, SwarmModel};
 use odx_stats::dist::{Dist, LogNormal};
+use odx_telemetry::Registry;
 
 use crate::config::{apply_dynamics, BackendConfig};
 use crate::{BackendMetrics, ExecCtx, Outcome, ProxyBackend, ProxyRequest};
@@ -16,20 +17,15 @@ pub struct UserDeviceBackend {
 }
 
 impl UserDeviceBackend {
-    /// A user-device backend with the given evaluation config.
-    pub fn new(cfg: BackendConfig) -> Self {
+    /// A user-device backend with the given evaluation config, recording
+    /// `backend.user-device.*` into `registry`.
+    pub fn new(cfg: BackendConfig, registry: &Registry) -> Self {
         UserDeviceBackend {
             cfg,
             swarm: SwarmModel::default(),
             efficiency: super::efficiency_dist(),
-            metrics: BackendMetrics::global("user-device"),
+            metrics: BackendMetrics::new(registry, "user-device"),
         }
-    }
-
-    /// Re-point this backend's metrics at `registry` (tests isolate
-    /// snapshots this way).
-    pub fn rebind_metrics(&mut self, registry: &odx_telemetry::Registry) {
-        self.metrics = BackendMetrics::new(registry, "user-device");
     }
 }
 

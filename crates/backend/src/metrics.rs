@@ -29,11 +29,6 @@ impl BackendMetrics {
         }
     }
 
-    /// Metric handles for proxy `name` in the process-wide registry.
-    pub fn global(name: &str) -> Self {
-        BackendMetrics::new(odx_telemetry::global(), name)
-    }
-
     /// Record one executed request.
     pub fn record(&self, outcome: &Outcome) {
         self.requests.inc();

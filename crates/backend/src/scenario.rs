@@ -39,8 +39,8 @@ pub struct Scenario {
     /// Whether the cloud's collaborative cache is enabled (the §4.3
     /// ablation turns it off).
     pub cache_enabled: bool,
-    /// The pool's replacement policy and shard count (`repro cache-compare`
-    /// sweeps the policy axis; every preset defaults to single-shard LRU).
+    /// The pool's replacement policy (`repro cache-compare` sweeps it;
+    /// every preset defaults to LRU).
     pub cache: CacheConfig,
     /// Multiplier on the pool's byte budget. `1.0` is the paper's 2 PB at
     /// scale 1.0; the `cache-pressure` preset shrinks it so replacement
@@ -132,7 +132,7 @@ impl Scenario {
                 line_payload_kbps: spec.backend.line_payload_kbps,
             },
             cache_enabled: spec.cache_enabled,
-            cache: CacheConfig { policy, shards: spec.cache.shards },
+            cache: CacheConfig { policy },
             cache_capacity_factor: spec.cache_capacity_factor,
             privileged_paths: spec.privileged_paths,
             demand_factor: spec.demand_factor,
@@ -167,7 +167,6 @@ impl Scenario {
         spec.backend.line_payload_kbps = self.backend.line_payload_kbps;
         spec.cache_enabled = self.cache_enabled;
         spec.cache.policy = self.cache.policy.name().to_owned();
-        spec.cache.shards = self.cache.shards;
         spec.cache_capacity_factor = self.cache_capacity_factor;
         spec.privileged_paths = self.privileged_paths;
         spec.demand_factor = self.demand_factor;
@@ -696,11 +695,10 @@ mod tests {
     }
 
     #[test]
-    fn every_preset_defaults_to_single_shard_lru() {
+    fn every_preset_defaults_to_lru() {
         let reg = ScenarioRegistry::builtin();
         for s in reg.all() {
             assert_eq!(s.cache.policy, PolicyKind::Lru, "{} policy", s.name);
-            assert_eq!(s.cache.shards, 1, "{} shards", s.name);
         }
     }
 

@@ -57,12 +57,17 @@ fn bad_set_path_and_value_exit_2_with_field_paths() {
 
 #[test]
 fn removed_scheduler_knob_exits_2() {
-    // The engine has one future-event list; the old knob is an unknown path.
-    let out = repro(&["headline", "--set", "sim.scheduler=wheel"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr(&out);
-    assert!(err.contains("unknown config path `sim.scheduler`"), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
+    // The engine has one future-event list and the pool one policy
+    // instance; both old knobs are unknown paths.
+    for (set, path) in
+        [("sim.scheduler=wheel", "sim.scheduler"), ("cache.shards=4", "cache.shards")]
+    {
+        let out = repro(&["headline", "--set", set]);
+        assert_eq!(out.status.code(), Some(2), "--set {set}");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("unknown config path `{path}`")), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
 }
 
 #[test]

@@ -22,10 +22,6 @@
 //! * [`S3FifoCache`] — S3-FIFO-style admission: a small probationary FIFO,
 //!   a main FIFO, and a ghost list; one-hit wonders are evicted before they
 //!   ever displace proven content (TinyLFU-style admission control).
-//! * [`ShardedCache`] — a deterministic FxHash-sharded wrapper over any
-//!   policy, so the content cache can scale across sweep workers; for a
-//!   fixed shard count the shard assignment (and therefore every eviction)
-//!   is identical on every run and platform.
 //! * [`InstrumentedCache`] — a telemetry wrapper recording
 //!   `cache.<policy>.{hit,miss,eviction}` counters plus byte-occupancy and
 //!   hit-ratio gauges into an [`odx_telemetry::Registry`].
@@ -47,7 +43,6 @@ mod lru;
 mod metrics;
 mod policy;
 mod s3fifo;
-mod sharded;
 
 pub use gdsf::GdsfCache;
 pub use lfu::LfuCache;
@@ -55,4 +50,3 @@ pub use lru::LruCache;
 pub use metrics::InstrumentedCache;
 pub use policy::{CacheConfig, CachePolicy, PolicyKind};
 pub use s3fifo::S3FifoCache;
-pub use sharded::ShardedCache;

@@ -3,12 +3,10 @@
 //! Counters (`hit`, `miss`, `eviction`) tick as the replay runs; the
 //! occupancy and hit-ratio gauges are written once by [`finish`] so the
 //! snapshot reflects end-of-run state. Counter handles are plain `Arc`s
-//! into a [`Registry`], so the same pattern as the cloud's `CloudMetrics`
-//! applies: bind to the global registry on construction, [`rebind`] to a
-//! private one per replay.
+//! into the [`Registry`] the wrapper is built with: the run's own, as for
+//! the cloud's `CloudMetrics`.
 //!
 //! [`finish`]: InstrumentedCache::finish
-//! [`rebind`]: InstrumentedCache::rebind
 
 use odx_telemetry::{Counter, Registry};
 
@@ -38,16 +36,6 @@ impl InstrumentedCache {
     /// Which policy runs underneath.
     pub fn kind(&self) -> PolicyKind {
         self.inner.kind()
-    }
-
-    /// Re-bind the counters into `registry` (used when a replay swaps the
-    /// global registry for a private per-run one; counts restart from the
-    /// registry's current values).
-    pub fn rebind(&mut self, registry: &Registry) {
-        let name = self.inner.kind().name();
-        self.hits = registry.counter(&format!("cache.{name}.hit"));
-        self.misses = registry.counter(&format!("cache.{name}.miss"));
-        self.evictions = registry.counter(&format!("cache.{name}.eviction"));
     }
 
     /// Write the end-of-run gauges: `cache.<policy>.bytes_mb` (occupancy)
@@ -112,12 +100,11 @@ impl InstrumentedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheConfig;
 
     #[test]
     fn counters_and_gauges_record_the_run() {
         let registry = Registry::new();
-        let mut c = InstrumentedCache::new(CacheConfig::default().build(20.0, 4), &registry);
+        let mut c = InstrumentedCache::new(PolicyKind::Lru.build(20.0, 4), &registry);
         assert_eq!(c.kind(), PolicyKind::Lru);
 
         assert!(c.lookup(1, 0).is_none()); // miss
@@ -136,21 +123,9 @@ mod tests {
     }
 
     #[test]
-    fn rebind_switches_registries() {
-        let a = Registry::new();
-        let b = Registry::new();
-        let mut c = InstrumentedCache::new(CacheConfig::default().build(20.0, 4), &a);
-        c.lookup(1, 0);
-        c.rebind(&b);
-        c.lookup(1, 0);
-        assert_eq!(a.counter("cache.lru.miss").get(), 1);
-        assert_eq!(b.counter("cache.lru.miss").get(), 1);
-    }
-
-    #[test]
     fn empty_run_has_zero_hit_ratio() {
         let registry = Registry::new();
-        let c = InstrumentedCache::new(CacheConfig::default().build(20.0, 0), &registry);
+        let c = InstrumentedCache::new(PolicyKind::Lru.build(20.0, 0), &registry);
         c.finish(&registry);
         assert_eq!(registry.gauge("cache.lru.hit_ratio").get(), 0.0);
     }

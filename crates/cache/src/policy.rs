@@ -1,6 +1,6 @@
 //! The policy trait, the policy registry, and the scenario-facing config.
 
-use crate::{GdsfCache, LfuCache, LruCache, S3FifoCache, ShardedCache};
+use crate::{GdsfCache, LfuCache, LruCache, S3FifoCache};
 
 /// A byte-budgeted cache replacement policy over `u64` keys.
 ///
@@ -125,36 +125,16 @@ impl std::fmt::Display for PolicyKind {
 }
 
 /// What a scenario says about its content cache: which policy runs the
-/// pool, and across how many deterministic FxHash shards.
+/// pool.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// The replacement policy.
     pub policy: PolicyKind,
-    /// Shard count (1 = unsharded). Results are deterministic for a fixed
-    /// shard count; changing it changes eviction domains (and results).
-    pub shards: u32,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig { policy: PolicyKind::Lru, shards: 1 }
-    }
-}
-
-impl CacheConfig {
-    /// A single-shard config for `policy`.
-    pub fn for_policy(policy: PolicyKind) -> CacheConfig {
-        CacheConfig { policy, shards: 1 }
-    }
-
-    /// Build the configured cache: the bare policy for `shards <= 1`, or a
-    /// [`ShardedCache`] splitting the budget across shards.
-    pub fn build(&self, capacity_mb: f64, entries: usize) -> Box<dyn CachePolicy> {
-        if self.shards <= 1 {
-            self.policy.build(capacity_mb, entries)
-        } else {
-            Box::new(ShardedCache::new(self.policy, capacity_mb, self.shards as usize, entries))
-        }
+        CacheConfig { policy: PolicyKind::Lru }
     }
 }
 
@@ -183,17 +163,6 @@ mod tests {
 
     #[test]
     fn default_config_is_the_paper_baseline() {
-        let cfg = CacheConfig::default();
-        assert_eq!(cfg.policy, PolicyKind::Lru);
-        assert_eq!(cfg.shards, 1);
-        assert_eq!(cfg.build(50.0, 4).kind(), PolicyKind::Lru);
-    }
-
-    #[test]
-    fn sharded_config_splits_the_budget() {
-        let cfg = CacheConfig { policy: PolicyKind::Lru, shards: 4 };
-        let c = cfg.build(100.0, 16);
-        assert_eq!(c.capacity_mb(), 100.0);
-        assert_eq!(c.kind(), PolicyKind::Lru);
+        assert_eq!(CacheConfig::default().policy, PolicyKind::Lru);
     }
 }

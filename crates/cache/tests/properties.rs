@@ -1,14 +1,14 @@
 //! Property tests shared by every cache policy.
 //!
-//! One operation-sequence generator drives all four policies (and the
-//! sharded wrapper) through the same shadow model, checking the
+//! One operation-sequence generator drives all four policies through the
+//! same shadow model, checking the
 //! [`CachePolicy`] contract: the byte budget always holds, residency
 //! bookkeeping matches a naive model, eviction lists are exactly the keys
 //! that stopped being resident, and identical call sequences produce
 //! identical eviction sequences. The LRU is also checked step by step
 //! against a naive reference model of the same policy.
 
-use odx_cache::{CacheConfig, CachePolicy, LruCache, PolicyKind, ShardedCache};
+use odx_cache::{CachePolicy, LruCache, PolicyKind};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
@@ -130,49 +130,6 @@ proptest! {
                 "a 50 MB budget under this load must evict ({})",
                 policy.name()
             );
-        }
-    }
-
-    /// The sharded wrapper upholds the same contract for every policy.
-    #[test]
-    fn sharded_wrapper_honours_the_contract(
-        ops in prop::collection::vec(op_strategy(), 1..100),
-        shards in 2usize..5,
-    ) {
-        for policy in PolicyKind::ALL {
-            // Generous per-shard budget: admission refusals stay the inner
-            // policy's business, residency bookkeeping stays comparable.
-            let mut cache = ShardedCache::new(policy, 400.0, shards, 16);
-            check_contract(&mut cache, &ops)?;
-        }
-    }
-
-    /// A single-shard `ShardedCache` is observationally identical to the
-    /// bare policy: same evictions, same occupancy.
-    #[test]
-    fn one_shard_equals_unsharded(
-        ops in prop::collection::vec(op_strategy(), 1..120),
-    ) {
-        for policy in PolicyKind::ALL {
-            let mut bare = policy.build(100.0, 16);
-            let mut sharded = ShardedCache::new(policy, 100.0, 1, 16);
-            let a = check_contract(bare.as_mut(), &ops)?;
-            let b = check_contract(&mut sharded, &ops)?;
-            prop_assert_eq!(&a, &b, "policy {} diverged under 1 shard", policy.name());
-            prop_assert!((bare.used_mb() - sharded.used_mb()).abs() < 1e-9);
-            prop_assert_eq!(bare.len(), sharded.len());
-        }
-    }
-
-    /// `CacheConfig::build` round-trips policy and budget for any shard
-    /// count.
-    #[test]
-    fn config_build_preserves_kind_and_budget(shards in 1u32..6) {
-        for policy in PolicyKind::ALL {
-            let cache = CacheConfig { policy, shards }.build(120.0, 8);
-            prop_assert_eq!(cache.kind(), policy);
-            prop_assert!((cache.capacity_mb() - 120.0).abs() < 1e-9);
-            prop_assert!(cache.is_empty());
         }
     }
 

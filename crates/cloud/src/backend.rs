@@ -60,9 +60,9 @@ pub struct CloudWeekBackend {
 
 impl CloudWeekBackend {
     /// Build the backend from the cloud config, drawing its `cloud-source`
-    /// and `cloud-fetch` streams from `rngs`. Metric handles point at the
-    /// process-wide registry until [`CloudWeekBackend::rebind_metrics`].
-    pub fn new(cfg: &CloudConfig, rngs: &RngFactory) -> Self {
+    /// and `cloud-fetch` streams from `rngs` and recording `cloud.upload.*`
+    /// and `backend.cloud.*` into `registry`.
+    pub fn new(cfg: &CloudConfig, rngs: &RngFactory, registry: &Registry) -> Self {
         CloudWeekBackend {
             predl: PredownloadModel::new(SwarmModel::default(), HttpFtpModel::default(), cfg),
             fetch: FetchModel::new(cfg),
@@ -75,16 +75,9 @@ impl CloudWeekBackend {
             rng_fetch: rngs.stream("cloud-fetch"),
             privileged_paths: cfg.privileged_paths_enabled,
             retry_decay: cfg.retry_decay,
-            upload_metrics: UploadMetrics::new(odx_telemetry::global()),
-            metrics: BackendMetrics::global("cloud"),
+            upload_metrics: UploadMetrics::new(registry),
+            metrics: BackendMetrics::new(registry, "cloud"),
         }
-    }
-
-    /// Re-resolve every metric handle against `registry` (fresh-registry
-    /// replays need byte-identical snapshots across same-seed runs).
-    pub fn rebind_metrics(&mut self, registry: &Registry) {
-        self.upload_metrics = UploadMetrics::new(registry);
-        self.metrics = BackendMetrics::new(registry, "cloud");
     }
 
     /// One VM pre-download attempt for `file` with `prior` failed attempts
@@ -249,7 +242,8 @@ mod tests {
     #[test]
     fn one_shot_execute_fills_cloud_leg() {
         let rngs = RngFactory::new(42);
-        let mut backend = CloudWeekBackend::new(&CloudConfig::at_scale(0.01), &rngs);
+        let mut backend =
+            CloudWeekBackend::new(&CloudConfig::at_scale(0.01), &rngs, &Registry::new());
         let mut cloud = CloudContentState::new();
         let mut rng = rngs.stream("test");
         let mut successes = 0;
@@ -269,7 +263,8 @@ mod tests {
     #[test]
     fn uncached_requests_pay_the_predownload() {
         let rngs = RngFactory::new(43);
-        let mut backend = CloudWeekBackend::new(&CloudConfig::at_scale(0.01), &rngs);
+        let mut backend =
+            CloudWeekBackend::new(&CloudConfig::at_scale(0.01), &rngs, &Registry::new());
         let mut cloud = CloudContentState::new();
         let mut rng = rngs.stream("test");
         let mut ctx = ExecCtx { rng: &mut rng, cloud: &mut cloud };
@@ -287,7 +282,7 @@ mod tests {
         let rngs = RngFactory::new(44);
         let mut cfg = CloudConfig::at_scale(0.01);
         cfg.privileged_paths_enabled = false;
-        let mut backend = CloudWeekBackend::new(&cfg, &rngs);
+        let mut backend = CloudWeekBackend::new(&cfg, &rngs, &Registry::new());
         let user = User { isp: Isp::Telecom, access_kbps: 2000.0, reports_bandwidth: true };
         let mut crossed = 0;
         for _ in 0..100 {
@@ -303,11 +298,10 @@ mod tests {
     }
 
     #[test]
-    fn rebind_metrics_points_at_the_fresh_registry() {
+    fn metrics_record_into_the_given_registry() {
         let rngs = RngFactory::new(45);
-        let mut backend = CloudWeekBackend::new(&CloudConfig::at_scale(0.01), &rngs);
         let registry = Registry::new();
-        backend.rebind_metrics(&registry);
+        let mut backend = CloudWeekBackend::new(&CloudConfig::at_scale(0.01), &rngs, &registry);
         backend.note_fetched(500.0, 10.0);
         let snap = registry.snapshot();
         assert_eq!(snap.counters["backend.cloud.requests"], 1);

@@ -24,8 +24,8 @@ pub struct CloudConfig {
     pub stagnation_timeout: SimDuration,
     /// Cloud storage pool capacity at scale 1.0: 2 PB = 2e9 MB.
     pub cache_capacity_mb: f64,
-    /// Which replacement policy runs the storage pool, and across how many
-    /// shards. Defaults to single-shard LRU — the paper's pool model.
+    /// Which replacement policy runs the storage pool. Defaults to LRU —
+    /// the paper's pool model.
     pub cache: CacheConfig,
     /// Popularity pivot of warm-cache coverage: a file with `w` weekly
     /// requests starts the week cached with probability `w / (w + pivot)`

@@ -8,7 +8,7 @@
 //!   popularity statistics (what ODR queries) and cached status.
 //! * the 2 PB collaborative storage pool, now a pluggable
 //!   [`odx_cache::CachePolicy`] selected by [`CloudConfig`]'s `cache` field
-//!   (single-shard [`odx_cache::LruCache`] by default — the paper's model).
+//!   ([`odx_cache::LruCache`] by default — the paper's model).
 //! * [`PredownloadModel`] — virtual-machine pre-downloaders on 20 Mbps links
 //!   with the production 1-hour stagnation timeout.
 //! * [`dedup`] — the chunk-level-dedup estimator behind §2.1's design

@@ -35,11 +35,6 @@ pub enum PredownloadOutcome {
 }
 
 impl PredownloadOutcome {
-    /// Whether the attempt succeeded.
-    pub fn is_success(&self) -> bool {
-        matches!(self, PredownloadOutcome::Success { .. })
-    }
-
     /// The attempt's duration.
     pub fn duration(&self) -> SimDuration {
         match self {

@@ -469,21 +469,22 @@ const FIG10_BIN_WIDTH: f64 = 10.0;
 const FIG10_BINS: usize = 21;
 
 impl<'a> XuanfengCloud<'a> {
-    /// Build the world around a generated workload.
+    /// Build the world around a generated workload, recording every
+    /// metric into `registry`.
     pub fn new(
         cfg: CloudConfig,
         catalog: &'a Catalog,
         population: &'a Population,
         workload: &'a Workload,
         rngs: &RngFactory,
+        registry: &Registry,
     ) -> Self {
         let mut db = ContentDb::new(catalog);
-        // The scenario picks the replacement policy; single-shard LRU is the
-        // paper's pool. Preallocate for the catalog so warming never regrows.
-        let mut pool = InstrumentedCache::new(
-            cfg.cache.build(cfg.scaled_cache_mb(), catalog.len()),
-            odx_telemetry::global(),
-        );
+        // The scenario picks the replacement policy; LRU is the paper's
+        // pool. Preallocate for the catalog so warming never regrows.
+        // Warming runs on the bare policy, before the counters wrap it:
+        // warm-up evictions are setup, not part of the replayed week.
+        let mut pool = cfg.cache.policy.build(cfg.scaled_cache_mb(), catalog.len());
         if cfg.cache_enabled {
             let mut warm_rng = rngs.stream("cloud-warm");
             for idx in db.warm(catalog, cfg.warm_cache_pivot, &mut warm_rng) {
@@ -494,7 +495,8 @@ impl<'a> XuanfengCloud<'a> {
                 }
             }
         }
-        let backend = CloudWeekBackend::new(&cfg, rngs);
+        let pool = InstrumentedCache::new(pool, registry);
+        let backend = CloudWeekBackend::new(&cfg, rngs, registry);
         let horizon_secs = (odx_trace::WEEK + SimDuration::from_days(2)).as_secs_f64();
         let plan = FaultPlan::compile(&cfg.faults, &mut rngs.stream("faults"));
         XuanfengCloud {
@@ -529,7 +531,7 @@ impl<'a> XuanfengCloud<'a> {
                         as u16
                 })
                 .collect(),
-            metrics: CloudMetrics::new(odx_telemetry::global()),
+            metrics: CloudMetrics::new(registry),
             hot: HotMetrics::default(),
             lifecycle: None,
         }
@@ -593,10 +595,7 @@ impl<'a> XuanfengCloud<'a> {
         registry: &Registry,
         observers: Observers<'_>,
     ) -> (WeekReport, Option<LifecycleReport>) {
-        let mut world = XuanfengCloud::new(cfg, catalog, population, workload, rngs);
-        world.metrics = CloudMetrics::new(registry);
-        world.backend.rebind_metrics(registry);
-        world.pool.rebind(registry);
+        let mut world = XuanfengCloud::new(cfg, catalog, population, workload, rngs, registry);
         world.lifecycle = observers.trace.map(Lifecycle::new);
         let flight = world.lifecycle.as_ref().map(|lifecycle| lifecycle.flight.clone());
         // Snapshot the compiled fault windows before the world moves into

@@ -41,14 +41,12 @@ pub struct BackendSpec {
     pub line_payload_kbps: f64,
 }
 
-/// The pool's replacement policy and shard count, by name.
+/// The pool's replacement policy, by name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheSpec {
     /// Policy name (`lru`, `lfu`, `gdsf`, `s3fifo` — validated by the
     /// resolver, which owns the policy registry).
     pub policy: String,
-    /// Deterministic FxHash shard count, `>= 1`.
-    pub shards: u32,
 }
 
 /// Observability-layer knobs (the virtual-time series recorder).
@@ -120,7 +118,7 @@ pub struct ScenarioSpec {
     pub backend: BackendSpec,
     /// Whether the cloud's collaborative cache is enabled.
     pub cache_enabled: bool,
-    /// Replacement policy and shard count of the pool.
+    /// Replacement policy of the pool.
     pub cache: CacheSpec,
     /// Multiplier on the pool's byte budget, `> 0`.
     pub cache_capacity_factor: f64,
@@ -156,7 +154,6 @@ pub const KNOWN_PATHS: &[&str] = &[
     "backend.line_payload_kbps",
     "cache_enabled",
     "cache.policy",
-    "cache.shards",
     "cache_capacity_factor",
     "privileged_paths",
     "demand_factor",
@@ -204,7 +201,7 @@ impl ScenarioSpec {
                 line_payload_kbps: 2370.0,
             },
             cache_enabled: true,
-            cache: CacheSpec { policy: "lru".into(), shards: 1 },
+            cache: CacheSpec { policy: "lru".into() },
             cache_capacity_factor: 1.0,
             privileged_paths: true,
             demand_factor: 1.0,
@@ -249,7 +246,6 @@ impl ScenarioSpec {
             "backend.line_payload_kbps" => self.backend.line_payload_kbps = num_at(path, value)?,
             "cache_enabled" => self.cache_enabled = bool_at(path, value)?,
             "cache.policy" => self.cache.policy = str_at(path, value)?,
-            "cache.shards" => self.cache.shards = u32_at(path, value)?,
             "cache_capacity_factor" => self.cache_capacity_factor = num_at(path, value)?,
             "privileged_paths" => self.privileged_paths = bool_at(path, value)?,
             "demand_factor" => self.demand_factor = num_at(path, value)?,
@@ -384,9 +380,6 @@ impl ScenarioSpec {
         check_unit_interval_open_low("faults.ap_slowdown", self.faults.ap_slowdown)?;
         check_positive("retry.base_delay_s", self.retry.base_delay_s)?;
         check_range("retry.jitter", self.retry.jitter, 0.0..=1.0)?;
-        if self.cache.shards == 0 {
-            return Err(ConfigError::at("cache.shards", "must be >= 1 (got 0)"));
-        }
         if let Some(share) = self.cernet_share {
             if !share.is_finite() || !(0.0..1.0).contains(&share) {
                 return Err(ConfigError::at(
@@ -493,13 +486,7 @@ impl ScenarioSpec {
                 ]),
             ),
             ("cache_enabled", Json::Bool(self.cache_enabled)),
-            (
-                "cache",
-                Json::obj([
-                    ("policy", Json::Str(self.cache.policy.clone())),
-                    ("shards", Json::Num(f64::from(self.cache.shards))),
-                ]),
-            ),
+            ("cache", Json::obj([("policy", Json::Str(self.cache.policy.clone()))])),
             ("cache_capacity_factor", Json::Num(self.cache_capacity_factor)),
             ("privileged_paths", Json::Bool(self.privileged_paths)),
             ("demand_factor", Json::Num(self.demand_factor)),
@@ -647,7 +634,6 @@ mod tests {
                 "name" | "summary" => Json::Str("x".into()),
                 "cache_enabled" | "privileged_paths" => Json::Bool(false),
                 "cache.policy" => Json::Str("gdsf".into()),
-                "cache.shards" => Json::Num(4.0),
                 "cernet_share" => Json::Num(0.25),
                 "retry.policy" => Json::Str("expo".into()),
                 "retry.max_attempts" => Json::Num(2.0),
@@ -673,8 +659,8 @@ mod tests {
         let mut spec = baseline();
         let err = spec.set_path("demand_factor", &Json::Str("two".into())).unwrap_err();
         assert_eq!(err.path, "demand_factor");
-        let err = spec.set_path("cache.shards", &Json::Num(1.5)).unwrap_err();
-        assert_eq!(err.path, "cache.shards");
+        let err = spec.set_path("retry.max_attempts", &Json::Num(1.5)).unwrap_err();
+        assert_eq!(err.path, "retry.max_attempts");
         assert!(err.message.contains("integer"));
         let err = spec.set_path("ap_fleet.7.model", &Json::Str("newifi".into())).unwrap_err();
         assert_eq!(err.path, "ap_fleet.7.model");
@@ -751,10 +737,15 @@ mod tests {
     #[test]
     fn spec_with_a_sim_section_is_rejected() {
         // The engine has one future-event list, so there is no `sim`
-        // section left to configure.
-        let doc = Json::parse(r#"{"name": "x", "sim": {"scheduler": "heap"}}"#).unwrap();
-        let err = ScenarioSpec::from_json(&doc).unwrap_err();
-        assert!(err.message.contains("unknown config path `sim`"), "{err}");
+        // section left to configure; the pool is one policy instance, so
+        // there is no shard count either.
+        for (doc, path) in [
+            (r#"{"name": "x", "sim": {"scheduler": "heap"}}"#, "sim"),
+            (r#"{"cache": {"shards": 4}}"#, "cache.shards"),
+        ] {
+            let err = ScenarioSpec::from_json(&Json::parse(doc).unwrap()).unwrap_err();
+            assert!(err.message.contains(&format!("unknown config path `{path}`")), "{err}");
+        }
     }
 
     #[test]

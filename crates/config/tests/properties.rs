@@ -20,7 +20,7 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
         (1u32..=100).prop_map(|n| f64::from(n) / 100.0),
         10.0f64..10_000.0,
     );
-    let cache = ("[a-z0-9]{1,8}", 1u32..8);
+    let cache = "[a-z0-9]{1,8}";
     let fleet = prop::collection::vec(
         ("[a-z]{2,8}", "[a-z\\-]{1,8}", "[a-z]{2,4}").prop_map(|(model, device, fs)| ApSpec {
             model,
@@ -75,7 +75,7 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
                     spec.backend.cloud_retry_factor,
                     spec.backend.line_payload_kbps,
                 ) = backend;
-                (spec.cache.policy, spec.cache.shards) = cache;
+                spec.cache.policy = cache;
                 spec.cache_enabled = cache_enabled;
                 spec.cache_capacity_factor = cache_capacity_factor;
                 spec.privileged_paths = privileged_paths;

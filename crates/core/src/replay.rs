@@ -209,10 +209,10 @@ impl OdrReplay {
 
         // One backend per proxy; every task executes through the
         // ProxyBackend trait.
-        let mut user_device = UserDeviceBackend::new(self.cfg);
-        let mut cloud = CloudBackend::new(self.cfg);
-        let mut smart_ap = SmartApBackend::hot_relay(self.cfg);
-        let mut cloud_ap = CloudAssistedApBackend::new(self.cfg);
+        let mut user_device = UserDeviceBackend::new(self.cfg, registry);
+        let mut cloud = CloudBackend::new(self.cfg, registry);
+        let mut smart_ap = SmartApBackend::hot_relay(self.cfg, registry);
+        let mut cloud_ap = CloudAssistedApBackend::new(self.cfg, registry);
 
         // Per-proxy decision and bottleneck-detector counters, with
         // handles resolved once per replay rather than once per task.

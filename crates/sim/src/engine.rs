@@ -1,6 +1,6 @@
 //! The simulation driver: owns the clock, the event queue, and a user-defined
-//! world, and dispatches events to the world until the queue drains or a
-//! horizon is reached.
+//! world, and dispatches events to the world, merged with an optional
+//! time-sorted arrival stream, until both are spent.
 
 use std::time::Instant;
 
@@ -138,8 +138,8 @@ impl<W: World> Simulation<W> {
 
     /// Attach a telemetry registry. Each processed event bumps the
     /// `sim.events` counter, the `sim.queue_depth` gauge tracks pending
-    /// events, and every `run_until` / `run_to_completion` call records
-    /// a `sim.run` span stamped with virtual time.
+    /// events, and every run records a `sim.run` span stamped with
+    /// virtual time.
     pub fn attach_telemetry(&mut self, registry: Registry) {
         self.telemetry = Some(SimTelemetry::new(registry));
     }
@@ -194,11 +194,6 @@ impl<W: World> Simulation<W> {
         &self.world
     }
 
-    /// Mutable access to the world (for setup between runs).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consume the simulation, returning the world.
     pub fn into_world(self) -> W {
         self.world
@@ -212,42 +207,6 @@ impl<W: World> Simulation<W> {
     /// Schedule an event `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) -> EventId {
         self.queue.schedule(self.now + delay, event)
-    }
-
-    /// Process a single event, if any. Returns whether an event fired.
-    pub fn step(&mut self) -> bool {
-        let fired = self.step_quiet();
-        if fired {
-            if let Some(telemetry) = &self.telemetry {
-                telemetry.events.add(self.processed - self.flushed);
-                telemetry.queue_depth.set(self.queue.len() as f64);
-            }
-            self.flushed = self.processed;
-        }
-        fired
-    }
-
-    /// [`step`] minus the per-event telemetry writes. The run loops call
-    /// this and flush the tallies once at the end — snapshot-identical,
-    /// since only the final counter total and the last gauge write are
-    /// observable after a run, but the hot loop sheds two shared-handle
-    /// atomics per event.
-    ///
-    /// [`step`]: Simulation::step
-    fn step_quiet(&mut self) -> bool {
-        let pop_start = self.prof.as_ref().map(|_| Instant::now());
-        match self.queue.pop() {
-            Some((time, event)) => {
-                self.dispatch(time, event, pop_start);
-                true
-            }
-            None => {
-                if let (Some(start), Some(prof)) = (pop_start, &mut self.prof) {
-                    prof.note_pop(start.elapsed().as_secs_f64());
-                }
-                false
-            }
-        }
     }
 
     /// Fire `event` at `time`: advance the clock, record the event in an
@@ -306,12 +265,12 @@ impl<W: World> Simulation<W> {
         }
     }
 
-    /// Batch-apply the telemetry updates the quiet steps since the last
-    /// flush would have made via [`step`] (no-op when nothing fired, so
-    /// an idle run leaves the gauge untouched exactly like the per-event
-    /// path).
-    ///
-    /// [`step`]: Simulation::step
+    /// Batch-apply the telemetry updates of the events fired since the
+    /// last flush: the run loop writes `sim.events` and `sim.queue_depth`
+    /// once at its end, not per event, which leaves the same snapshot
+    /// (only the final counter total and the last gauge write are
+    /// observable after a run). No-op when nothing fired, so an idle run
+    /// leaves the gauge untouched.
     fn flush_run_telemetry(&mut self) {
         if self.processed > self.flushed {
             if let Some(telemetry) = &self.telemetry {
@@ -325,38 +284,9 @@ impl<W: World> Simulation<W> {
         }
     }
 
-    /// Run until the queue is empty or `horizon` is passed. Events scheduled
-    /// strictly after the horizon remain pending; the clock stops at the last
-    /// fired event (or the horizon if nothing fires).
-    pub fn run_until(&mut self, horizon: SimTime) -> u64 {
-        let before = self.processed;
-        let run_start = self.prof.as_ref().map(|_| Instant::now());
-        let span = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.registry.tracer().open("sim.run", self.now.as_millis()));
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
-                break;
-            }
-            if self.series.is_some() {
-                self.sample_due_before(t.as_millis(), 0);
-            }
-            self.step_quiet();
-        }
-        if let (Some(start), Some(prof)) = (run_start, &mut self.prof) {
-            prof.note_run(start.elapsed().as_secs_f64());
-        }
-        self.flush_run_telemetry();
-        if let (Some(telemetry), Some(span)) = (&self.telemetry, span) {
-            telemetry.registry.tracer().close("sim.run", span, self.now.as_millis());
-        }
-        self.processed - before
-    }
-
     /// Run until no events remain. Returns the number of events processed.
     pub fn run_to_completion(&mut self) -> u64 {
-        self.run_until(SimTime::MAX)
+        self.run_merged::<()>(&[], |_| SimTime::ZERO, |_| unreachable!("no arrivals"))
     }
 
     /// Run to completion, dispatching the time-sorted `arrivals` alongside
@@ -365,19 +295,18 @@ impl<W: World> Simulation<W> {
     /// next arrival if its time is at or before the scheduler's head and
     /// pops the scheduler otherwise, so arrivals win same-time ties in
     /// index order — the `(time, seq)` order of scheduling every arrival
-    /// up front before anything else. Records the same single `sim.run`
-    /// span as [`run_until`]. Series samples of `sim.queue_depth` count
-    /// the scheduler's live events plus the arrivals a loop streaming them
-    /// into the scheduler would hold: windows of 65,536 sorted arrivals,
-    /// each admitted once its first time is at or before the head.
+    /// up front before anything else. Records one `sim.run` span from the
+    /// clock at entry to the clock at exit. Series samples of
+    /// `sim.queue_depth` count the scheduler's live events plus the
+    /// arrivals a loop streaming them into the scheduler would hold:
+    /// windows of 65,536 sorted arrivals, each admitted once its first
+    /// time is at or before the head.
     ///
     /// # Panics
     ///
     /// If an arrival is earlier than the event fired before it (the
     /// stream is not sorted by time, or starts behind the clock); the
     /// message names the arrival's index.
-    ///
-    /// [`run_until`]: Simulation::run_until
     pub fn run_merged<A>(
         &mut self,
         arrivals: &[A],
@@ -533,20 +462,6 @@ mod tests {
         sim.run_to_completion();
         assert_eq!(sim.world().log.len(), 4);
         assert_eq!(sim.world().log.last(), Some(&(30, "x")));
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut sim = Simulation::new(Recorder::default());
-        sim.schedule_at(SimTime::from_millis(5), Ev::Mark("in"));
-        sim.schedule_at(SimTime::from_millis(500), Ev::Mark("out"));
-        let n = sim.run_until(SimTime::from_millis(100));
-        assert_eq!(n, 1);
-        assert_eq!(sim.world().log, vec![(5, "in")]);
-        // The out-of-horizon event is still pending.
-        let n = sim.run_to_completion();
-        assert_eq!(n, 1);
-        assert_eq!(sim.world().log.len(), 2);
     }
 
     #[test]

@@ -25,8 +25,6 @@
 //! * [`fluid`] — a max–min fair bandwidth solver used to share link capacity
 //!   between concurrent flows (the "progressive filling" algorithm).
 //! * [`TokenBucket`] — rate shaping (used for upload-governor ablations).
-//! * [`OnlineStats`] — streaming mean/variance/min/max without storing
-//!   samples.
 //!
 //! Everything is `std`-only plus `rand` for the underlying generator.
 //!
@@ -60,7 +58,6 @@ mod event;
 pub mod fluid;
 mod fxhash;
 mod rng;
-mod stats;
 mod time;
 mod token_bucket;
 mod wheel;
@@ -69,7 +66,6 @@ pub use engine::{Ctx, Simulation, World};
 pub use event::EventId;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::{named_seed, RngFactory, SimRng};
-pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};
 pub use token_bucket::TokenBucket;
 pub use wheel::TimingWheel;

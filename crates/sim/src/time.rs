@@ -118,12 +118,6 @@ impl SimDuration {
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
-
-    /// Scale by a non-negative factor (clamped at zero; rounds to nearest
-    /// millisecond).
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * factor)
-    }
 }
 
 impl Add<SimDuration> for SimTime {

@@ -21,11 +21,6 @@ impl Mixture {
         let components = components.into_iter().map(|(w, d)| (w / total, d)).collect();
         Mixture { components }
     }
-
-    /// Number of components.
-    pub fn arity(&self) -> usize {
-        self.components.len()
-    }
 }
 
 impl Dist for Mixture {

@@ -63,17 +63,6 @@ impl BinnedSeries {
         }
     }
 
-    /// Add a point amount at time `t` (averaged over its bin).
-    pub fn add_amount_at(&mut self, t: f64, amount: f64) {
-        if t < 0.0 || amount <= 0.0 {
-            return;
-        }
-        let idx = (t / self.bin_width) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += amount / self.bin_width;
-        }
-    }
-
     /// Per-bin average rates.
     pub fn values(&self) -> &[f64] {
         &self.bins

@@ -121,11 +121,6 @@ impl TaskEnd {
     pub fn index(self) -> usize {
         self as usize
     }
-
-    /// Whether this terminal is an anomaly (everything but completion).
-    pub fn is_anomaly(self) -> bool {
-        self != TaskEnd::Completed
-    }
 }
 
 /// One recorded span of a task's lifecycle. Instant stages have

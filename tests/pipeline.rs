@@ -122,3 +122,56 @@ fn popularity_skew_drives_everything() {
         zipf.avg_rel_error
     );
 }
+
+// One registry per run: every `backend.*`, `cache.*` and `cloud.*` metric
+// of a replay lands in the registry the caller passed, and the ODR
+// evaluation's embedded all-AP baseline keeps its own.
+
+#[test]
+fn odr_backend_requests_sum_to_odr_tasks_in_the_run_registry() {
+    let study = Study::generate(0.005, 2_718);
+    let registry = Registry::new();
+    study.replay_odr(400, &Study::paper_default(), &registry, Observers::default());
+    let snap = registry.snapshot();
+    let proxies: u64 = snap
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("backend.") && name.ends_with(".requests"))
+        .map(|(_, &n)| n)
+        .sum();
+    assert_eq!(snap.counters["odr.tasks"], 400);
+    assert_eq!(proxies, snap.counters["odr.tasks"], "{:?}", snap.counters);
+}
+
+#[test]
+fn smart_ap_backend_requests_equal_ap_tasks_in_the_run_registry() {
+    let study = Study::generate(0.005, 2_718);
+    let registry = Registry::new();
+    study.replay_smart_aps(300, &Study::paper_default(), &registry, Observers::default());
+    let snap = registry.snapshot();
+    assert_eq!(snap.counters["ap.tasks"], 300);
+    assert_eq!(snap.counters["backend.smart-ap.requests"], snap.counters["ap.tasks"]);
+}
+
+#[test]
+fn cloud_week_records_nothing_into_the_global_registry() {
+    let study = Study::generate(0.002, 2_718);
+    let registry = Registry::new();
+    study.replay_cloud(
+        Study::scenarios().get("cache-pressure").unwrap(),
+        &registry,
+        Observers::default(),
+    );
+    let snap = registry.snapshot();
+    assert!(snap.counters["backend.cloud.requests"] > 0);
+    assert!(snap.counters["cache.lru.miss"] > 0);
+    // No test in this binary replays into the global registry, so any
+    // run metric found there leaked out of a fresh-registry run.
+    let global = odx::telemetry::global().snapshot();
+    let leaked: Vec<&String> = global
+        .counters
+        .keys()
+        .filter(|name| ["backend.", "cache.", "cloud."].iter().any(|p| name.starts_with(p)))
+        .collect();
+    assert!(leaked.is_empty(), "run metrics in the global registry: {leaked:?}");
+}
