@@ -41,6 +41,17 @@ for name in $vendored; do
 done
 echo "all $(echo $vendored | wc -w) vendored stubs named and used"
 
+echo "== global-metrics guard: no static holds a telemetry metric, registry or series slot =="
+# Every metric lands in a registry its caller owns. A process-global one
+# mixes every run of the process into one count and is missing from the
+# run's own snapshot.
+if grep -rnE '\bstatic\s+[A-Z_0-9]+\s*:.*(\b(Counter|Gauge|HistogramHandle|Registry|[A-Za-z]*Metrics)\b|Mutex<Option<String>>)' \
+  crates/*/src; then
+  echo "the static(s) above hold process-global telemetry state" >&2
+  exit 1
+fi
+echo "no process-global telemetry state"
+
 echo "== cargo build --release =="
 cargo build --release
 

@@ -1,9 +1,9 @@
 //! The smart-AP proxy: the user's AP pre-downloads from the source.
 
-use odx_p2p::{SourceOutcome, SwarmModel};
+use odx_p2p::{FailureCause, SourceOutcome, SwarmModel};
 use odx_smartap::ApEngine;
 use odx_stats::dist::{Dist, LogNormal};
-use odx_telemetry::Registry;
+use odx_telemetry::{Counter, Registry};
 
 use crate::config::{apply_dynamics, BackendConfig};
 use crate::{ApContext, BackendMetrics, ExecCtx, Outcome, ProxyBackend, ProxyRequest};
@@ -18,7 +18,42 @@ enum Mode {
     /// source attempt, stagnation pruning, protocol overhead, iowait). The
     /// request's own [`ProxyRequest::ap`] is ignored — the engine carries
     /// the AP under test.
-    Bench { engine: ApEngine },
+    Bench { engine: ApEngine, metrics: BenchMetrics },
+}
+
+/// The bench's `smartap.*` counters: attempts, storage write stalls
+/// (Table 2's storage-limited transfers) and the §4.1 failure taxonomy.
+struct BenchMetrics {
+    attempts: Counter,
+    write_stall: Counter,
+    fail_seeds: Counter,
+    fail_connection: Counter,
+    fail_bug: Counter,
+}
+
+impl BenchMetrics {
+    fn new(registry: &Registry) -> Self {
+        BenchMetrics {
+            attempts: registry.counter("smartap.attempts"),
+            write_stall: registry.counter("smartap.write_stall"),
+            fail_seeds: registry.counter("smartap.fail.seeds"),
+            fail_connection: registry.counter("smartap.fail.connection"),
+            fail_bug: registry.counter("smartap.fail.bug"),
+        }
+    }
+
+    fn record(&self, out: &Outcome) {
+        self.attempts.inc();
+        if out.storage_limited {
+            self.write_stall.inc();
+        }
+        match out.cause {
+            Some(FailureCause::InsufficientSeeds) => self.fail_seeds.inc(),
+            Some(FailureCause::PoorConnection) => self.fail_connection.inc(),
+            Some(FailureCause::SystemBug) => self.fail_bug.inc(),
+            None => {}
+        }
+    }
 }
 
 /// The user's smart AP as one proxy.
@@ -44,13 +79,14 @@ impl SmartApBackend {
 
     /// The §5.1 benchmark backend for one AP with its actual storage setup
     /// (used by [`crate::SmartApBenchmark`] and the AP-fleet scenarios),
-    /// recording `backend.smart-ap.*` into `registry`.
+    /// recording `backend.smart-ap.*` and `smartap.*` into `registry`.
     pub fn bench(ap: ApContext, registry: &Registry) -> Self {
         let storage = odx_smartap::StorageSetup { device: ap.device, fs: ap.fs };
         SmartApBackend {
             cfg: BackendConfig::default(),
             mode: Mode::Bench {
                 engine: ApEngine::new(ap.model, storage, odx_smartap::ApEngineConfig::default()),
+                metrics: BenchMetrics::new(registry),
             },
             metrics: BackendMetrics::new(registry, "smart-ap"),
         }
@@ -84,9 +120,9 @@ impl ProxyBackend for SmartApBackend {
                     SourceOutcome::Failed { cause } => Outcome::failure(Some(cause)),
                 }
             }
-            Mode::Bench { engine } => {
+            Mode::Bench { engine, metrics } => {
                 let ap_out = engine.pre_download(&req.file_meta(), req.access_kbps, ctx.rng);
-                Outcome {
+                let out = Outcome {
                     success: ap_out.success,
                     cause: ap_out.cause,
                     rate_kbps: ap_out.rate_kbps,
@@ -96,7 +132,9 @@ impl ProxyBackend for SmartApBackend {
                     lan_mb: 0.0,
                     iowait: ap_out.iowait,
                     storage_limited: ap_out.storage_limited,
-                }
+                };
+                metrics.record(&out);
+                out
             }
         };
         self.metrics.record(&out);

@@ -98,8 +98,9 @@
 //! stdout and every export byte-identical.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use odx::backend::{Scenario, ScenarioRegistry};
 use odx::cache::PolicyKind;
@@ -114,8 +115,8 @@ use odx::storage::{DeviceKind, FsKind};
 use odx::Study;
 use odx_bench::{mmmm, peak_rss_mb, rel, row};
 use odx_telemetry::{
-    global, render_rows, rows_from_walls, validate_chrome_trace, LifecycleReport, Observers,
-    Registry, TraceConfig,
+    render_rows, rows_from_walls, validate_chrome_trace, LifecycleReport, Observers, Registry,
+    TraceConfig,
 };
 
 const COMMANDS: &[&str] = &[
@@ -252,6 +253,15 @@ fn fail_usage(message: &str) -> ! {
     let _ = writeln!(err, "repro: {message}");
     print_usage(&mut err);
     std::process::exit(2);
+}
+
+/// `result`'s value, or exit 2 naming `path` when writing it failed: an
+/// unwritable `--out` or `--metrics` path is bad input, not a crash.
+fn check_write<T>(path: &Path, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("repro: cannot write {}: {e}", path.display());
+        std::process::exit(2)
+    })
 }
 
 /// The value after `flag`, parsed as `T`. A missing or unparsable value
@@ -417,6 +427,8 @@ fn main() {
         return;
     }
     let want = |c: &str| opts.commands.contains("all") || opts.commands.contains(c);
+    // Every replay of this process records here; `--metrics` dumps it.
+    let registry = Registry::new();
     println!(
         "odx repro — scenario {} scale {} seed {} sample {}  (paper: scale 1.0 = 4,084,417 tasks)",
         opts.scenario.name, opts.scale, opts.seed, opts.sample
@@ -424,9 +436,9 @@ fn main() {
     if let Some(dir) = &opts.out {
         // `trace --out trace.json` names a file, not a directory.
         if dir.extension().is_none() {
-            std::fs::create_dir_all(dir).expect("create --out dir");
+            check_write(dir, std::fs::create_dir_all(dir));
         } else if let Some(parent) = dir.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent).expect("create --out parent dir");
+            check_write(parent, std::fs::create_dir_all(parent));
         }
     }
 
@@ -437,10 +449,10 @@ fn main() {
         check_trace_cmd(&opts);
     }
     if opts.commands.contains("attribute") {
-        attribute_cmd(&opts);
+        attribute_cmd(&opts, &registry);
     }
     if opts.commands.contains("trace") {
-        trace_cmd(&opts);
+        trace_cmd(&opts, &registry);
     }
     if opts.commands.contains("sweep") {
         sweep_grid(&opts);
@@ -471,7 +483,7 @@ fn main() {
         )
     });
     if only_standalone {
-        write_metrics(&opts);
+        write_metrics(&opts, &registry);
         return;
     }
 
@@ -495,10 +507,9 @@ fn main() {
         // Wall-clock perf of the main replay rides along in the registry's
         // separate `wall` section (excluded from `--metrics`, printed by
         // `headline`).
-        let registry = odx_telemetry::global();
         let events_before = registry.counter("sim.events").get();
         let start = std::time::Instant::now();
-        let report = cloud_week(&study, &opts.scenario);
+        let report = cloud_week(&study, &opts.scenario, &registry);
         let wall = start.elapsed().as_secs_f64();
         let events = registry.counter("sim.events").get() - events_before;
         registry.set_wall("sim.wall_secs", wall);
@@ -520,13 +531,13 @@ fn main() {
             fig11(report, &opts);
         }
         if want("headline") {
-            headline(report);
+            headline(report, &registry);
         }
     }
 
     let needs_ap = want("fig13") || want("fig14") || want("headline");
     let aps = needs_ap.then(|| {
-        study.replay_smart_aps(opts.sample, &opts.scenario, global(), Observers::default()).0
+        study.replay_smart_aps(opts.sample, &opts.scenario, &registry, Observers::default()).0
     });
     if let Some(report) = &aps {
         if want("fig13") {
@@ -548,7 +559,7 @@ fn main() {
     }
     if want("fig16") || want("fig17") || want("headline") {
         let (eval, _) =
-            study.replay_odr(opts.sample, &opts.scenario, global(), Observers::default());
+            study.replay_odr(opts.sample, &opts.scenario, &registry, Observers::default());
         if want("fig16") {
             fig16(cloud.as_ref(), &eval, opts.scale);
         }
@@ -563,48 +574,47 @@ fn main() {
         }
     }
     if want("ablate-cache") {
-        ablate_cache(&study, cloud.as_ref().expect("cloud replay present"));
+        ablate_cache(&study, cloud.as_ref().expect("cloud replay present"), &registry);
     }
     if want("ablate-privileged") {
-        ablate_privileged(&study, cloud.as_ref().expect("cloud replay present"));
+        ablate_privileged(&study, cloud.as_ref().expect("cloud replay present"), &registry);
     }
     if want("ablate-storage") {
         ablate_storage();
     }
     if want("sweep-userbase") {
-        sweep_userbase(&study);
+        sweep_userbase(&study, &registry);
     }
     if want("ablate-dedup") {
         ablate_dedup(&study);
     }
     if want("ablate-ledbat") {
-        ablate_ledbat(&study);
+        ablate_ledbat(&study, &registry);
     }
     if want("ablate-concurrency") {
         ablate_concurrency(&study, opts.sample);
     }
     if want("sweep-cache") {
-        sweep_cache(&study);
+        sweep_cache(&study, &registry);
     }
     if opts.commands.contains("export-traces") {
-        export_traces(&study, &opts);
+        export_traces(&study, &opts, &registry);
     }
 
-    write_metrics(&opts);
+    write_metrics(&opts, &registry);
 }
 
-/// Replay the cloud week under `scenario` into the process-global
-/// registry, the one `--metrics` dumps.
-fn cloud_week(study: &Study, scenario: &Scenario) -> WeekReport {
-    study.replay_cloud(scenario, global(), Observers::default()).0
+/// Replay the cloud week under `scenario` into `registry`, the one
+/// `--metrics` dumps.
+fn cloud_week(study: &Study, scenario: &Scenario, registry: &Registry) -> WeekReport {
+    study.replay_cloud(scenario, registry, Observers::default()).0
 }
 
-/// Write the deterministic global-registry snapshot if `--metrics`
-/// asked. Runs at the end of every command path.
-fn write_metrics(opts: &Options) {
+/// Write `registry`'s deterministic snapshot if `--metrics` asked. Runs
+/// at the end of every command path.
+fn write_metrics(opts: &Options, registry: &Registry) {
     if let Some(path) = &opts.metrics {
-        let json = odx_telemetry::global().snapshot().to_json();
-        std::fs::write(path, &json).expect("write --metrics file");
+        check_write(path, std::fs::write(path, registry.snapshot().to_json()));
         println!("\n[metrics snapshot → {}]", path.display());
     }
 }
@@ -615,12 +625,13 @@ fn section(title: &str) {
 
 fn dump_cdf(opts: &Options, name: &str, ecdf: &Ecdf) {
     let Some(dir) = &opts.out else { return };
-    let mut f = std::fs::File::create(dir.join(name)).expect("create tsv");
-    writeln!(f, "value\tcdf").unwrap();
+    let mut tsv = String::from("value\tcdf\n");
     for (x, p) in ecdf.curve(512) {
-        writeln!(f, "{x}\t{p}").unwrap();
+        let _ = writeln!(tsv, "{x}\t{p}");
     }
-    println!("  [series → {}]", dir.join(name).display());
+    let path = dir.join(name);
+    check_write(&path, std::fs::write(&path, tsv));
+    println!("  [series → {}]", path.display());
 }
 
 fn table1() {
@@ -687,13 +698,14 @@ fn fig6_fig7(study: &Study, opts: &Options) {
         )
     );
     if let Some(dir) = &opts.out {
-        let mut f = std::fs::File::create(dir.join("fig6_7_rank_frequency.tsv")).unwrap();
-        writeln!(f, "rank\tcount\tzipf_fit\tse_fit").unwrap();
+        let mut tsv = String::from("rank\tcount\tzipf_fit\tse_fit\n");
         for (i, y) in ranked.iter().enumerate() {
             let x = (i + 1) as f64;
-            writeln!(f, "{x}\t{y}\t{}\t{}", zipf.predict(x), se.predict(x)).unwrap();
+            let _ = writeln!(tsv, "{x}\t{y}\t{}\t{}", zipf.predict(x), se.predict(x));
         }
-        println!("  [series → {}]", dir.join("fig6_7_rank_frequency.tsv").display());
+        let path = dir.join("fig6_7_rank_frequency.tsv");
+        check_write(&path, std::fs::write(&path, tsv));
+        println!("  [series → {}]", path.display());
     }
 }
 
@@ -780,14 +792,15 @@ fn fig11(report: &WeekReport, opts: &Options) {
         row("rejected fetch requests", "1.5%", format!("{:.2}%", 100.0 * report.rejection_ratio()))
     );
     if let Some(dir) = &opts.out {
-        let mut f = std::fs::File::create(dir.join("fig11_burden.tsv")).unwrap();
-        writeln!(f, "t_secs\tburden_gbps\thot_gbps").unwrap();
+        let mut tsv = String::from("t_secs\tburden_gbps\thot_gbps\n");
         for ((t, all), (_, hot)) in
             report.burden_kbps.points().into_iter().zip(report.burden_hot_kbps.points())
         {
-            writeln!(f, "{t}\t{}\t{}", kbps_to_gbps(all), kbps_to_gbps(hot)).unwrap();
+            let _ = writeln!(tsv, "{t}\t{}\t{}", kbps_to_gbps(all), kbps_to_gbps(hot));
         }
-        println!("  [series → {}]", dir.join("fig11_burden.tsv").display());
+        let path = dir.join("fig11_burden.tsv");
+        check_write(&path, std::fs::write(&path, tsv));
+        println!("  [series → {}]", path.display());
     }
 }
 
@@ -797,7 +810,7 @@ fn report_scale(report: &WeekReport) -> f64 {
     report.counters.requests as f64 / 4_084_417.0
 }
 
-fn headline(report: &WeekReport) {
+fn headline(report: &WeekReport, registry: &Registry) {
     section("§4 headline statistics (cloud)");
     println!("{}", row("cache hit ratio", "89%", format!("{:.1}%", 100.0 * report.hit_ratio())));
     println!(
@@ -853,7 +866,6 @@ fn headline(report: &WeekReport) {
             format!("{:.1}%", 100.0 * report.counters.impeded_dynamics as f64 / fetches)
         )
     );
-    let registry = odx_telemetry::global();
     if let (Some(wall), Some(eps)) =
         (registry.wall("sim.wall_secs"), registry.wall("sim.events_per_sec"))
     {
@@ -862,17 +874,13 @@ fn headline(report: &WeekReport) {
     }
 }
 
-/// Replay the cloud week with per-task lifecycle tracing under the shared
-/// CLI knobs, recording replay wall-clock into the registry's (excluded)
-/// wall section.
-fn traced_cloud_replay(opts: &Options) -> LifecycleReport {
+/// Replay the cloud week into `registry` with per-task lifecycle tracing
+/// under the shared CLI knobs.
+fn traced_cloud_replay(opts: &Options, registry: &Registry) -> LifecycleReport {
     let study = Study::generate_scenario(opts.scale, opts.seed, &opts.scenario);
-    let registry = global();
-    let start = std::time::Instant::now();
     let trace = opts.trace_config();
     let observers = Observers { trace: Some(&trace), ..Observers::default() };
     let (_, lifecycle) = study.replay_cloud(&opts.scenario, registry, observers);
-    registry.set_wall("trace.wall_secs", start.elapsed().as_secs_f64());
     lifecycle.expect("tracing was requested")
 }
 
@@ -881,13 +889,13 @@ fn out_dir(opts: &Options) -> Option<&PathBuf> {
     opts.out.as_ref().filter(|p| p.extension().is_none())
 }
 
-fn attribute_cmd(opts: &Options) {
+fn attribute_cmd(opts: &Options, registry: &Registry) {
     section(&format!(
         "Attribute — virtual-time latency waterfall ({}, every {} task(s))",
         opts.scenario.name,
         opts.trace_config().sample_every
     ));
-    let lifecycle = traced_cloud_replay(opts);
+    let lifecycle = traced_cloud_replay(opts, registry);
     let attribution = lifecycle.attribution();
     for line in attribution.waterfall().lines() {
         println!("  {line}");
@@ -901,14 +909,14 @@ fn attribute_cmd(opts: &Options) {
     );
     if let Some(dir) = out_dir(opts) {
         let path = dir.join("attribution.json");
-        std::fs::write(&path, attribution.to_json()).expect("write attribution.json");
+        check_write(&path, std::fs::write(&path, attribution.to_json()));
         println!("  [attribution → {}]", path.display());
     }
 }
 
-fn trace_cmd(opts: &Options) {
+fn trace_cmd(opts: &Options, registry: &Registry) {
     section(&format!("Trace — Chrome trace-event export ({})", opts.scenario.name));
-    let lifecycle = traced_cloud_replay(opts);
+    let lifecycle = traced_cloud_replay(opts, registry);
     let chrome = lifecycle.traces.to_chrome_json();
     let stats = validate_chrome_trace(&chrome).expect("exporter emits valid Chrome trace JSON");
     let path = match &opts.out {
@@ -916,9 +924,9 @@ fn trace_cmd(opts: &Options) {
         Some(dir) => dir.join("trace.json"),
         None => PathBuf::from("trace.json"),
     };
-    std::fs::write(&path, &chrome).expect("write trace file");
+    check_write(&path, std::fs::write(&path, &chrome));
     let flight_path = path.with_extension("flight.json");
-    std::fs::write(&flight_path, lifecycle.flight.to_json()).expect("write flight file");
+    check_write(&flight_path, std::fs::write(&flight_path, lifecycle.flight.to_json()));
     println!(
         "  {} event(s): {} spans + {} instants across {} task lane(s)",
         stats.events, stats.complete, stats.instants, stats.lanes
@@ -1061,9 +1069,6 @@ fn sweep_grid(opts: &Options) {
         progress: opts.progress,
     };
     let report = run_sweep(&spec);
-    // Per-shard wall perf rides in the registry's wall section (excluded
-    // from the deterministic `--metrics` snapshot).
-    report.record_wall(odx_telemetry::global());
     println!(
         "  {:<18} {:>6} {:>9} {:>6} {:>6} {:>8} {:>10}",
         "scenario", "seed", "requests", "hit%", "fail%", "impeded%", "events"
@@ -1096,12 +1101,12 @@ fn sweep_grid(opts: &Options) {
     if let Some(dir) = out_dir(opts) {
         let json_path = dir.join("sweep.json");
         let csv_path = dir.join("sweep.csv");
-        std::fs::write(&json_path, report.to_json()).expect("write sweep.json");
-        std::fs::write(&csv_path, report.to_csv()).expect("write sweep.csv");
+        check_write(&json_path, std::fs::write(&json_path, report.to_json()));
+        check_write(&csv_path, std::fs::write(&csv_path, report.to_csv()));
         println!("  [deterministic snapshots → {} / {}]", json_path.display(), csv_path.display());
         if let Some(attribution) = report.attribution() {
             let attr_path = dir.join("attribution.json");
-            std::fs::write(&attr_path, attribution.to_json()).expect("write attribution.json");
+            check_write(&attr_path, std::fs::write(&attr_path, attribution.to_json()));
             println!("  [merged attribution → {}]", attr_path.display());
         }
     }
@@ -1141,7 +1146,6 @@ fn cache_compare(opts: &Options) {
         progress: opts.progress,
     };
     let report = run_sweep(&spec);
-    report.record_wall(odx_telemetry::global());
     println!(
         "  {:<28} {:>6} {:>9} {:>6} {:>6} {:>9} {:>10}",
         "scenario/policy", "seed", "requests", "hit%", "fail%", "misses", "events"
@@ -1186,8 +1190,8 @@ fn cache_compare(opts: &Options) {
     if let Some(dir) = out_dir(opts) {
         let json_path = dir.join("cache_compare.json");
         let csv_path = dir.join("cache_compare.csv");
-        std::fs::write(&json_path, report.to_json()).expect("write cache_compare.json");
-        std::fs::write(&csv_path, report.to_csv()).expect("write cache_compare.csv");
+        check_write(&json_path, std::fs::write(&json_path, report.to_json()));
+        check_write(&csv_path, std::fs::write(&csv_path, report.to_csv()));
         println!("  [deterministic snapshots → {} / {}]", json_path.display(), csv_path.display());
     }
 }
@@ -1234,7 +1238,6 @@ fn resilience_cmd(opts: &Options) {
         progress: opts.progress,
     };
     let report = run_sweep(&spec);
-    report.record_wall(odx_telemetry::global());
     // Baseline lookup: the scenario's own zero-fault, no-retry cell at
     // the same seed (always in the grid — intensity 0 and `none` are).
     let baseline = |scenario: &str, seed: u64| {
@@ -1298,8 +1301,8 @@ fn resilience_cmd(opts: &Options) {
     if let Some(dir) = out_dir(opts) {
         let json_path = dir.join("resilience.json");
         let csv_path = dir.join("resilience.csv");
-        std::fs::write(&json_path, report.to_json()).expect("write resilience.json");
-        std::fs::write(&csv_path, report.to_csv()).expect("write resilience.csv");
+        check_write(&json_path, std::fs::write(&json_path, report.to_json()));
+        check_write(&csv_path, std::fs::write(&csv_path, report.to_csv()));
         println!("  [deterministic snapshots → {} / {}]", json_path.display(), csv_path.display());
     }
 }
@@ -1332,7 +1335,6 @@ fn series_cmd(opts: &Options) {
         progress: opts.progress,
     };
     let report = run_sweep(&spec);
-    report.record_wall(odx_telemetry::global());
     let set = report.series().expect("series recording was enabled");
     for ((scenario, seed), snapshot) in &set.cells {
         println!(
@@ -1343,17 +1345,13 @@ fn series_cmd(opts: &Options) {
             snapshot.series.len()
         );
     }
-    let json = set.to_json();
-    // Make the freshly recorded document available to `GET
-    // /metrics?series=1` when a proto server runs in this process.
-    odx_telemetry::publish_series(json.clone());
     let (csv_path, json_path) = match &opts.out {
         Some(p) if p.extension().is_some() => (p.clone(), p.with_extension("json")),
         Some(dir) => (dir.join("series.csv"), dir.join("series.json")),
         None => (PathBuf::from("series.csv"), PathBuf::from("series.json")),
     };
-    std::fs::write(&csv_path, set.to_csv()).expect("write series CSV");
-    std::fs::write(&json_path, &json).expect("write series JSON");
+    check_write(&csv_path, std::fs::write(&csv_path, set.to_csv()));
+    check_write(&json_path, std::fs::write(&json_path, set.to_json()));
     println!(
         "  [series → {} / {} — byte-identical for any --jobs]",
         csv_path.display(),
@@ -1637,10 +1635,10 @@ fn fig17(eval: &OdrEvalReport, opts: &Options) {
     dump_cdf(opts, "fig17_odr_fetch_speed_cdf.tsv", &ecdf);
 }
 
-fn ablate_cache(study: &Study, baseline: &WeekReport) {
+fn ablate_cache(study: &Study, baseline: &WeekReport, registry: &Registry) {
     section("Ablation — remove the cloud storage pool (§4.1 counterfactual)");
     let scenario = Study::scenarios().get("ablate-cache").expect("builtin preset").clone();
-    let report = cloud_week(study, &scenario);
+    let report = cloud_week(study, &scenario, registry);
     println!(
         "{}",
         row("failure ratio with pool", "8.7%", format!("{:.1}%", 100.0 * baseline.failure_ratio()))
@@ -1655,10 +1653,10 @@ fn ablate_cache(study: &Study, baseline: &WeekReport) {
     );
 }
 
-fn ablate_privileged(study: &Study, baseline: &WeekReport) {
+fn ablate_privileged(study: &Study, baseline: &WeekReport, registry: &Registry) {
     section("Ablation — disable privileged-path construction");
     let scenario = Study::scenarios().get("ablate-privileged").expect("builtin preset").clone();
-    let report = cloud_week(study, &scenario);
+    let report = cloud_week(study, &scenario, registry);
     println!(
         "{}",
         row(
@@ -1713,13 +1711,13 @@ fn ablate_storage() {
     println!("  (cells < offered indicate the storage path, not the network, is binding)");
 }
 
-fn sweep_cache(study: &Study) {
+fn sweep_cache(study: &Study, registry: &Registry) {
     section("Extension — storage-pool size vs cache hits and failures");
     println!("  (the paper's pool is 2 PB ≈ catalog-sized; how small could it be?)");
     let mut scenario = Study::paper_default();
     for fraction in [0.0001_f64, 0.001, 0.01, 0.1, 1.0] {
         scenario.cache_capacity_factor = fraction;
-        let report = cloud_week(study, &scenario);
+        let report = cloud_week(study, &scenario, registry);
         println!(
             "  pool ×{fraction:<7}: hit {:>5.1}%  failure {:>4.1}%  impeded {:>5.1}%",
             100.0 * report.hit_ratio(),
@@ -1750,11 +1748,11 @@ fn ablate_concurrency(study: &Study, sample_size: usize) {
     println!("  (the paper's sequential §5.1 methodology = 1 slot)");
 }
 
-fn export_traces(study: &Study, opts: &Options) {
+fn export_traces(study: &Study, opts: &Options, registry: &Registry) {
     section("Export — the dataset's three traces as TSV");
     let dir = opts.out.clone().unwrap_or_else(|| PathBuf::from("out"));
-    std::fs::create_dir_all(&dir).expect("create output dir");
-    let report = cloud_week(study, &Study::paper_default());
+    check_write(&dir, std::fs::create_dir_all(&dir));
+    let report = cloud_week(study, &Study::paper_default(), registry);
     // Every trace streams row by row from its source; none is collected.
     let workload_records = study.workload.requests().iter().map(|r| {
         let user = study.population.user(r.user);
@@ -1782,8 +1780,9 @@ fn write_trace<R: odx::trace::io::ToTsv>(
     records: impl IntoIterator<Item = R>,
 ) {
     let path = dir.join(name);
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create trace file"));
-    odx::trace::io::write_tsv(&mut f, records).and_then(|()| f.flush()).expect("write trace file");
+    let file = check_write(&path, std::fs::File::create(&path));
+    let mut f = std::io::BufWriter::new(file);
+    check_write(&path, odx::trace::io::write_tsv(&mut f, records).and_then(|()| f.flush()));
     println!("  wrote {}", path.display());
 }
 
@@ -1813,11 +1812,11 @@ fn ablate_dedup(study: &Study) {
     );
 }
 
-fn ablate_ledbat(study: &Study) {
+fn ablate_ledbat(study: &Study, registry: &Registry) {
     section("Extension — LEDBAT-style cloud seeding of hot swarms (§6.1 discussion)");
     use odx::p2p::multiplier::{BandwidthMultiplier, SeedGovernor};
     use odx::sim::SimTime;
-    let report = cloud_week(study, &Study::paper_default());
+    let report = cloud_week(study, &Study::paper_default(), registry);
     let cap_kbps = CloudConfig::at_scale(study.scale).scaled_upload_kbps();
     let mult = BandwidthMultiplier::default();
     let mut governor = SeedGovernor::new(cap_kbps, 300.0);
@@ -1861,7 +1860,7 @@ fn ablate_ledbat(study: &Study) {
     println!("  (LEDBAT yields to foreground fetches, so rejections are unaffected)");
 }
 
-fn sweep_userbase(study: &Study) {
+fn sweep_userbase(study: &Study, registry: &Registry) {
     section("Extension — user-base growth vs fetch rejections (Bottleneck 2's trend)");
     println!("  demand grows while the purchased 30 Gbps (scaled) stays fixed:");
     let preset = Study::scenarios().get("sweep-userbase").expect("builtin preset").clone();
@@ -1870,7 +1869,7 @@ fn sweep_userbase(study: &Study) {
         // demand per unit capacity.
         let mut scenario = preset.clone();
         scenario.demand_factor = factor;
-        let report = cloud_week(study, &scenario);
+        let report = cloud_week(study, &scenario, registry);
         println!(
             "  demand ×{factor:<4} → rejected {:>5.2}%   impeded {:>5.1}%",
             100.0 * report.rejection_ratio(),

@@ -178,3 +178,23 @@ fn example_scenario_file_drives_the_sweep() {
         assert!(text.contains(cell), "axis cell `{cell}` missing from sweep output:\n{text}");
     }
 }
+
+#[test]
+fn unwritable_output_paths_exit_2_naming_the_path() {
+    // A path inside a regular file can be neither created nor written.
+    let dir = std::env::temp_dir().join(format!("repro-cli-unwritable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("plain-file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let target = file.join("m.json");
+    let target = target.to_str().unwrap();
+    for flag in ["--metrics", "--out"] {
+        let out = repro(&["table1", "--scale", "0.0005", flag, target]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = stderr(&out);
+        assert!(err.contains("repro: cannot write"), "{flag}: {err}");
+        assert!(err.contains(file.to_str().unwrap()), "{flag}: {err}");
+        assert!(!err.contains("panicked"), "{flag}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

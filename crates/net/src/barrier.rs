@@ -34,16 +34,8 @@ impl BarrierModel {
         BarrierModel { dist: LogNormal::from_median(median_kbps, sigma), max_kbps }
     }
 
-    /// Sample the capacity of one cross-ISP path (KBps). Each sample is a
-    /// barrier activation, counted in the global telemetry registry.
+    /// Sample the capacity of one cross-ISP path (KBps).
     pub fn sample(&self, rng: &mut dyn Rng) -> f64 {
-        // Cached handle: barrier sampling sits on the fetch-admission hot
-        // path, so pay the registry name lookup only once.
-        static ACTIVATIONS: std::sync::OnceLock<odx_telemetry::Counter> =
-            std::sync::OnceLock::new();
-        ACTIVATIONS
-            .get_or_init(|| odx_telemetry::global().counter("net.barrier.activations"))
-            .inc();
         self.dist.sample(rng).min(self.max_kbps)
     }
 
@@ -73,20 +65,6 @@ mod tests {
         let below = (0..100_000).filter(|_| m.sample(&mut rng) < HD_THRESHOLD_KBPS).count() as f64
             / 100_000.0;
         assert!(below > 0.80, "sampled {below}");
-    }
-
-    #[test]
-    fn sampling_counts_barrier_activations() {
-        // Other tests share the global registry, so only assert the
-        // counter moved by at least our contribution.
-        let counter = odx_telemetry::global().counter("net.barrier.activations");
-        let before = counter.get();
-        let m = BarrierModel::default();
-        let mut rng = StdRng::seed_from_u64(27);
-        for _ in 0..10 {
-            m.sample(&mut rng);
-        }
-        assert!(counter.get() >= before + 10);
     }
 
     #[test]

@@ -244,24 +244,6 @@ impl SweepReport {
         any.then_some(set)
     }
 
-    /// Propagate per-shard perf into `registry`'s wall section (satellite
-    /// of the PR-3 sweep work: per-shard events/sec used to be lost when
-    /// only the merged footer was printed). Wall entries are
-    /// nondeterministic by design and stay out of the deterministic
-    /// exports.
-    pub fn record_wall(&self, registry: &Registry) {
-        for cell in &self.cells {
-            let prefix = format!("sweep.{}.{}", cell.scenario, cell.seed);
-            registry.set_wall(&format!("{prefix}.wall_secs"), cell.wall_secs);
-            registry.set_wall(
-                &format!("{prefix}.events_per_sec"),
-                cell.sim_events as f64 / cell.wall_secs.max(1e-9),
-            );
-        }
-        registry.set_wall("sweep.wall_secs", self.wall_secs);
-        registry.set_wall("sweep.events_per_sec", self.events_per_sec());
-    }
-
     /// The deterministic merged report as a compact JSON document:
     /// byte-identical for any worker count (wall-clock fields omitted).
     pub fn to_json(&self) -> String {
@@ -510,22 +492,6 @@ mod tests {
         assert_eq!(sequential.to_json(), silent.to_json());
         assert_eq!(sequential.to_csv(), silent.to_csv());
         assert!(silent.series().is_none(), "no recording → no series document");
-    }
-
-    #[test]
-    fn record_wall_propagates_per_shard_perf() {
-        let report = run_sweep(&tiny_spec(2));
-        let registry = Registry::new();
-        report.record_wall(&registry);
-        assert!(registry.wall("sweep.wall_secs").is_some());
-        assert!(registry.wall("sweep.events_per_sec").unwrap() > 0.0);
-        for cell in &report.cells {
-            let prefix = format!("sweep.{}.{}", cell.scenario, cell.seed);
-            assert!(registry.wall(&format!("{prefix}.wall_secs")).is_some());
-            assert!(registry.wall(&format!("{prefix}.events_per_sec")).unwrap() > 0.0);
-        }
-        // Wall entries stay out of the deterministic export.
-        assert!(!registry.snapshot().to_json().contains("sweep."));
     }
 
     #[test]

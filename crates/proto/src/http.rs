@@ -70,12 +70,6 @@ impl Request {
         self.target.split('?').next().unwrap_or(&self.target)
     }
 
-    /// The query portion of the target (after the first `?`), `""` when
-    /// the target carries none.
-    pub fn query(&self) -> &str {
-        self.target.split_once('?').map_or("", |(_, q)| q)
-    }
-
     /// Read one request from a stream. `Ok(None)` means the peer closed the
     /// connection cleanly before sending anything.
     pub fn read_from(stream: impl Read) -> Result<Option<Request>, HttpError> {

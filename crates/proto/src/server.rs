@@ -27,11 +27,11 @@ use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use odx_telemetry::Counter;
+use odx_telemetry::{Counter, Registry};
 
 use crate::http::{Request, Response};
 
@@ -62,6 +62,10 @@ struct Shared {
     /// Workers currently holding a kept-alive connection.
     holding: AtomicUsize,
     workers: usize,
+    /// `proto.connections`: connections accepted.
+    connections: Counter,
+    /// `proto.panics`: handler panics answered with a 500.
+    panics: Counter,
 }
 
 impl Shared {
@@ -88,8 +92,14 @@ pub struct Server {
 
 impl Server {
     /// Bind to `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serve
-    /// `handler` on `workers` threads.
-    pub fn bind(addr: &str, workers: usize, handler: impl Handler) -> io::Result<Server> {
+    /// `handler` on `workers` threads, counting `proto.connections` and
+    /// `proto.panics` into `registry`.
+    pub fn bind(
+        addr: &str,
+        workers: usize,
+        registry: &Registry,
+        handler: impl Handler,
+    ) -> io::Result<Server> {
         assert!(workers > 0, "need at least one worker");
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -99,6 +109,8 @@ impl Server {
             shutdown: AtomicBool::new(false),
             holding: AtomicUsize::new(0),
             workers,
+            connections: registry.counter("proto.connections"),
+            panics: registry.counter("proto.panics"),
         });
         let handler = Arc::new(handler);
         let workers = listeners
@@ -192,9 +204,7 @@ impl Read for Conn<'_> {
 }
 
 fn serve_connection(stream: TcpStream, shared: &Shared, handler: &impl Handler) {
-    // Cached handles, as for `proto.requests` in the service.
-    static CONNECTIONS: OnceLock<Counter> = OnceLock::new();
-    CONNECTIONS.get_or_init(|| odx_telemetry::global().counter("proto.connections")).inc();
+    shared.connections.inc();
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
@@ -207,7 +217,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared, handler: &impl Handler) 
         }
         reader.get_mut().idle = !pipelined;
         let (response, wants_keep) = match Request::read_next(&mut reader) {
-            Ok(Some((req, keep))) => (handle(handler, req), keep),
+            Ok(Some((req, keep))) => (handle(handler, req, shared), keep),
             Ok(None) => break,
             // Idle timeout or shutdown: no request was under way.
             Err(_) if reader.get_ref().idle => break,
@@ -227,10 +237,9 @@ fn serve_connection(stream: TcpStream, shared: &Shared, handler: &impl Handler) 
 
 /// Run the handler; a panicking handler costs its request a 500, not the
 /// pool a worker.
-fn handle(handler: &impl Handler, req: Request) -> Response {
+fn handle(handler: &impl Handler, req: Request, shared: &Shared) -> Response {
     catch_unwind(AssertUnwindSafe(|| handler.handle(req))).unwrap_or_else(|_| {
-        static PANICS: OnceLock<Counter> = OnceLock::new();
-        PANICS.get_or_init(|| odx_telemetry::global().counter("proto.panics")).inc();
+        shared.panics.inc();
         Response::error(500, "handler panicked")
     })
 }
@@ -242,7 +251,7 @@ mod tests {
     use crate::http::Method;
 
     fn echo_server() -> Server {
-        Server::bind("127.0.0.1:0", 2, |req: Request| {
+        Server::bind("127.0.0.1:0", 2, &Registry::new(), |req: Request| {
             if req.method == Method::Post {
                 Response::text(format!("echo:{}", String::from_utf8_lossy(&req.body)))
             } else {
@@ -296,7 +305,8 @@ mod tests {
 
     #[test]
     fn panicking_handler_answers_500_and_keeps_its_worker() {
-        let server = Server::bind("127.0.0.1:0", 2, |req: Request| {
+        let registry = Registry::new();
+        let server = Server::bind("127.0.0.1:0", 2, &registry, |req: Request| {
             if req.path() == "/boom" {
                 panic!("handler failure under test");
             }
@@ -312,13 +322,14 @@ mod tests {
         let ok = client::get(addr, "/ok").unwrap();
         assert_eq!(ok.status, 200);
         assert_eq!(&ok.body[..], b"ok");
+        assert_eq!(registry.counter("proto.panics").get(), 4);
         server.shutdown();
     }
 
     #[test]
     fn shutdown_waits_out_a_slow_handler_and_releases_the_port() {
         let (entered_tx, entered) = std::sync::mpsc::channel();
-        let server = Server::bind("127.0.0.1:0", 2, move |req: Request| {
+        let server = Server::bind("127.0.0.1:0", 2, &Registry::new(), move |req: Request| {
             if req.path() == "/slow" {
                 entered_tx.send(()).unwrap();
                 std::thread::sleep(Duration::from_millis(300));
@@ -335,7 +346,9 @@ mod tests {
         let resp = slow.join().unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(&resp.body[..], b"done");
-        let again = Server::bind(&addr.to_string(), 1, |_req: Request| Response::text("ok"));
+        let again = Server::bind(&addr.to_string(), 1, &Registry::new(), |_req: Request| {
+            Response::text("ok")
+        });
         assert!(again.is_ok());
     }
 
@@ -345,7 +358,9 @@ mod tests {
         let addr = server.addr();
         server.shutdown();
         // Port is released: a new server can bind to the same address.
-        let again = Server::bind(&addr.to_string(), 1, |_req: Request| Response::text("ok"));
+        let again = Server::bind(&addr.to_string(), 1, &Registry::new(), |_req: Request| {
+            Response::text("ok")
+        });
         assert!(again.is_ok());
     }
 
@@ -432,7 +447,8 @@ mod tests {
     #[test]
     fn one_worker_server_always_closes() {
         let server =
-            Server::bind("127.0.0.1:0", 1, |_req: Request| Response::text("ok")).expect("bind");
+            Server::bind("127.0.0.1:0", 1, &Registry::new(), |_req: Request| Response::text("ok"))
+                .expect("bind");
         for _ in 0..3 {
             let mut conn = open(&server);
             let reply = exchange(&mut conn, &get("/"));
@@ -455,7 +471,7 @@ mod tests {
 
     #[test]
     fn panic_answers_500_and_the_connection_serves_on() {
-        let server = Server::bind("127.0.0.1:0", 2, |req: Request| {
+        let server = Server::bind("127.0.0.1:0", 2, &Registry::new(), |req: Request| {
             if req.path() == "/boom" {
                 panic!("handler failure under test");
             }

@@ -3,9 +3,10 @@
 //! Endpoints:
 //!
 //! * `GET /healthz` — liveness.
-//! * `GET /metrics` — JSON snapshot of the process-wide telemetry registry;
-//!   `GET /metrics?series=1` serves the published virtual-time series
-//!   document instead (what `repro series` records).
+//! * `GET /metrics` — JSON snapshot of the service's own telemetry
+//!   registry: `proto.requests` (requests routed) and, once it serves,
+//!   the server's `proto.connections` and `proto.panics`. Two services in
+//!   one process never see each other's counts.
 //! * `GET /popularity/<file-id-hex>` — the content-DB lookup ODR performs.
 //! * `POST /decide` — submit a link + user context, receive a verdict.
 //!
@@ -16,6 +17,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use odx_odr::OdrEngine;
+use odx_telemetry::{Counter, Registry};
 use odx_trace::{Catalog, PopularityClass};
 
 use crate::api::{verdict_to_json, DecideRequest};
@@ -54,13 +56,18 @@ struct DirectoryEntry {
 pub struct OdrService {
     engine: OdrEngine,
     directory: RwLock<HashMap<String, DirectoryEntry>>,
+    /// What `GET /metrics` serves.
+    registry: Registry,
+    requests: Counter,
 }
 
 impl OdrService {
     /// An empty service (unknown files are treated as uncached and
     /// unpopular — the conservative answer).
     pub fn new(engine: OdrEngine) -> Arc<OdrService> {
-        Arc::new(OdrService { engine, directory: RwLock::new(HashMap::new()) })
+        let registry = Registry::new();
+        let requests = registry.counter("proto.requests");
+        Arc::new(OdrService { engine, directory: RwLock::new(HashMap::new()), registry, requests })
     }
 
     /// Populate the directory from a catalog, marking files cached with the
@@ -107,27 +114,13 @@ impl OdrService {
 
     /// Route one HTTP request.
     pub fn handle(&self, req: Request) -> Response {
-        // Cached handle: every routed request bumps one counter.
-        static REQUESTS: std::sync::OnceLock<odx_telemetry::Counter> = std::sync::OnceLock::new();
-        REQUESTS.get_or_init(|| odx_telemetry::global().counter("proto.requests")).inc();
+        self.requests.inc();
         match (req.method, req.path()) {
             (Method::Get, "/") => Response::html(FRONT_PAGE),
             (Method::Get, "/healthz") => {
                 Response::json(Json::obj([("status", Json::Str("ok".into()))]).to_string_compact())
             }
-            (Method::Get, "/metrics") => {
-                // `?series=1` serves the most recently published
-                // virtual-time series document instead of the snapshot
-                // (404 until a run publishes one — `repro series` does).
-                if req.query().split('&').any(|kv| kv == "series=1") {
-                    match odx_telemetry::published_series() {
-                        Some(json) => Response::json(json),
-                        None => Response::error(404, "no series published"),
-                    }
-                } else {
-                    Response::json(odx_telemetry::global().snapshot().to_json())
-                }
-            }
+            (Method::Get, "/metrics") => Response::json(self.registry.snapshot().to_json()),
             (Method::Get, path) if path.starts_with("/popularity/") => {
                 let id = path.trim_start_matches("/popularity/");
                 let dir = self.directory();
@@ -207,10 +200,11 @@ impl OdrService {
         }
     }
 
-    /// Bind the service to `addr` on a worker pool.
+    /// Bind the service to `addr` on a worker pool that counts its
+    /// connections and handler panics into the service's registry.
     pub fn serve(self: &Arc<Self>, addr: &str, workers: usize) -> std::io::Result<Server> {
         let this = Arc::clone(self);
-        Server::bind(addr, workers, move |req: Request| this.handle(req))
+        Server::bind(addr, workers, &self.registry, move |req: Request| this.handle(req))
     }
 }
 
@@ -271,74 +265,58 @@ mod tests {
     }
 
     #[test]
-    fn metrics_endpoint_serves_global_snapshot() {
-        // Seed a metric we can look for, then read it back over the wire.
-        odx_telemetry::global().counter("proto.test.sentinel").inc();
+    fn metrics_endpoint_serves_the_service_registry() {
+        // Five scrapes over one kept-alive connection of a fresh service:
+        // nothing else counts into its registry, so the server has seen
+        // exactly one connection and five requests.
         let svc = service_with_file(PopularityClass::Popular, true);
         let server = svc.serve("127.0.0.1:0", 2).unwrap();
-        let resp = client::get(server.addr(), "/metrics").unwrap();
-        assert_eq!(resp.status, 200);
-        let body = String::from_utf8_lossy(&resp.body);
-        let parsed = Json::parse(&body).expect("metrics snapshot is valid JSON");
-        assert!(matches!(parsed, Json::Obj(_)));
-        assert!(body.contains("proto.test.sentinel"));
-        assert!(body.contains("proto.requests"));
-
-        // Five scrapes over one kept-alive connection: one more
-        // connection, five more requests. Other tests in this binary bump
-        // the same global counters concurrently, so try until a window
-        // free of their traffic shows the exact deltas.
-        let connections = odx_telemetry::global().counter("proto.connections");
-        let requests = odx_telemetry::global().counter("proto.requests");
-        let mut deltas = Vec::new();
-        'attempt: for _ in 0..50 {
-            let (c0, r0) = (connections.get(), requests.get());
-            let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-            for _ in 0..5 {
-                stream.write_all(b"GET /metrics HTTP/1.1\r\nhost: odr\r\n\r\n").unwrap();
-                match Response::read_from(&stream) {
-                    Ok(resp) if resp.status == 200 => {
-                        assert!(String::from_utf8_lossy(&resp.body).contains("proto.connections"))
-                    }
-                    // The server closed it: a hold released late by the
-                    // previous attempt's connection. Try again.
-                    _ => continue 'attempt,
-                }
-            }
-            let delta = (connections.get() - c0, requests.get() - r0);
-            if delta == (1, 5) {
-                server.shutdown();
-                return;
-            }
-            deltas.push(delta);
-            std::thread::sleep(std::time::Duration::from_millis(10));
+        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        let mut last = None;
+        for _ in 0..5 {
+            stream.write_all(b"GET /metrics HTTP/1.1\r\nhost: odr\r\n\r\n").unwrap();
+            let resp = Response::read_from(&stream).unwrap();
+            assert_eq!(resp.status, 200);
+            last = Some(Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap());
         }
-        panic!("no attempt saw (connections, requests) grow by (1, 5): {deltas:?}");
+        let counters = last.and_then(|s| s.get("counters").cloned()).expect("counters");
+        let count = |name: &str| counters.get(name).and_then(Json::as_f64);
+        // The fifth snapshot counts its own request.
+        assert_eq!(count("proto.requests"), Some(5.0));
+        assert_eq!(count("proto.connections"), Some(1.0));
+        assert_eq!(count("proto.panics"), Some(0.0));
+        assert_eq!(svc.requests.get(), 5);
+        server.shutdown();
     }
 
     #[test]
-    fn metrics_series_variant_serves_the_published_document() {
-        let svc = service_with_file(PopularityClass::Popular, true);
-        let server = svc.serve("127.0.0.1:0", 2).unwrap();
-        // This test is the process's only publisher, so before it
-        // publishes the variant must 404 (the plain snapshot never does).
-        let missing = client::get(server.addr(), "/metrics?series=1").unwrap();
-        assert_eq!(missing.status, 404);
-        let doc = r#"{"cells":[{"scenario":"proto-test","seed":7,"series":{"interval_ms":3600000,"times":[3600000],"series":{}}}]}"#;
-        odx_telemetry::publish_series(doc.to_string());
-        let requests_before = odx_telemetry::global().counter("proto.requests").get();
-        let resp = client::get(server.addr(), "/metrics?series=1").unwrap();
-        assert_eq!(resp.status, 200);
-        assert_eq!(std::str::from_utf8(&resp.body).unwrap(), doc, "published bytes verbatim");
-        // The flag only swaps the document; the plain snapshot endpoint
-        // still serves the registry, which carries the request counter
-        // the series requests themselves bumped.
-        let plain = client::get(server.addr(), "/metrics").unwrap();
-        assert!(String::from_utf8_lossy(&plain.body).contains("proto.requests"));
-        let after = odx_telemetry::global().counter("proto.requests").get();
-        // ≥: other tests in this binary route requests concurrently.
-        assert!(after >= requests_before + 2, "series + plain both counted: {after}");
-        server.shutdown();
+    fn two_services_count_only_their_own_requests() {
+        let requests = |svc: &OdrService| {
+            let resp = svc.handle(Request {
+                method: Method::Get,
+                target: "/metrics".into(),
+                headers: vec![],
+                body: vec![],
+            });
+            let snapshot = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+            snapshot.get("counters").and_then(|c| c.get("proto.requests")?.as_f64())
+        };
+        let (a, b) = (OdrService::new(OdrEngine::default()), OdrService::new(OdrEngine::default()));
+        for _ in 0..3 {
+            requests(&a);
+        }
+        // Each scrape counts itself: a has routed 3 + 1, b only its one.
+        assert_eq!(requests(&a), Some(4.0));
+        assert_eq!(requests(&b), Some(1.0));
+        // `?series=1` is no longer a separate document: the same snapshot.
+        let series = a.handle(Request {
+            method: Method::Get,
+            target: "/metrics?series=1".into(),
+            headers: vec![],
+            body: vec![],
+        });
+        assert_eq!(series.status, 200);
+        assert!(String::from_utf8_lossy(&series.body).contains("proto.requests"));
     }
 
     #[test]

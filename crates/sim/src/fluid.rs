@@ -45,11 +45,6 @@ impl FlowSpec {
 /// non-positive capacity pin their flows to zero. Panics if a flow references
 /// a link out of range.
 pub fn max_min_rates(link_caps: &[f64], flows: &[FlowSpec]) -> Vec<f64> {
-    // Cached handle into the global registry: the solver sits on hot
-    // paths (per-AP LAN sharing), so pay the registry lookup once.
-    static INVOCATIONS: std::sync::OnceLock<odx_telemetry::Counter> = std::sync::OnceLock::new();
-    INVOCATIONS.get_or_init(|| odx_telemetry::global().counter("sim.fluid.invocations")).inc();
-
     for f in flows {
         for &l in &f.links {
             assert!(l < link_caps.len(), "flow references unknown link {l}");

@@ -82,11 +82,6 @@ impl ApEngine {
         }
     }
 
-    /// The AP model.
-    pub fn model(&self) -> ApModel {
-        self.model
-    }
-
     /// The storage setup in use.
     pub fn storage(&self) -> StorageSetup {
         self.storage
@@ -108,17 +103,6 @@ impl ApEngine {
     /// to the sampled user's access bandwidth (`access_cap_kbps`; pass
     /// `f64::INFINITY` for the unrestricted Table 2 replays).
     pub fn pre_download(
-        &self,
-        file: &FileMeta,
-        access_cap_kbps: f64,
-        rng: &mut dyn Rng,
-    ) -> ApOutcome {
-        let out = self.pre_download_inner(file, access_cap_kbps, rng);
-        record_outcome(&out);
-        out
-    }
-
-    fn pre_download_inner(
         &self,
         file: &FileMeta,
         access_cap_kbps: f64,
@@ -191,41 +175,6 @@ impl ApEngine {
                 storage_limited: false,
             },
         }
-    }
-}
-
-/// Cached telemetry handles for AP attempt outcomes, resolved once.
-struct ApMetrics {
-    attempts: odx_telemetry::Counter,
-    write_stall: odx_telemetry::Counter,
-    fail_seeds: odx_telemetry::Counter,
-    fail_connection: odx_telemetry::Counter,
-    fail_bug: odx_telemetry::Counter,
-}
-
-/// Count one attempt outcome: total attempts, storage write stalls
-/// (Table 2's storage-limited transfers), and the §4.1 failure taxonomy.
-fn record_outcome(out: &ApOutcome) {
-    static METRICS: std::sync::OnceLock<ApMetrics> = std::sync::OnceLock::new();
-    let m = METRICS.get_or_init(|| {
-        let registry = odx_telemetry::global();
-        ApMetrics {
-            attempts: registry.counter("smartap.attempts"),
-            write_stall: registry.counter("smartap.write_stall"),
-            fail_seeds: registry.counter("smartap.fail.seeds"),
-            fail_connection: registry.counter("smartap.fail.connection"),
-            fail_bug: registry.counter("smartap.fail.bug"),
-        }
-    });
-    m.attempts.inc();
-    if out.storage_limited {
-        m.write_stall.inc();
-    }
-    match out.cause {
-        Some(FailureCause::InsufficientSeeds) => m.fail_seeds.inc(),
-        Some(FailureCause::PoorConnection) => m.fail_connection.inc(),
-        Some(FailureCause::SystemBug) => m.fail_bug.inc(),
-        None => {}
     }
 }
 

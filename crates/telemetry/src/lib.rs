@@ -14,9 +14,9 @@
 //!
 //! ## Usage
 //!
-//! Deep call-sites that cannot thread a registry through their
-//! signatures record into [`global()`]; replay entry points accept an
-//! explicit `&Registry` so tests can isolate and diff snapshots.
+//! There is no process-wide registry: every run records into the
+//! `&Registry` its caller passes, so a snapshot covers that run and
+//! nothing else, and tests can isolate and diff snapshots.
 //!
 //! ```
 //! use odx_telemetry::Registry;
@@ -48,16 +48,12 @@ pub use flight::{FlightDump, FlightEvent, FlightRecorder, FlightSnapshot};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use prof::{render_rows, rows_from_walls, HandlerProfiler, ProfRow};
 pub use registry::{Counter, Gauge, HistogramHandle, Registry, Snapshot};
-pub use series::{
-    publish_series, published_series, MetricSeries, SeriesRecorder, SeriesSet, SeriesSnapshot,
-};
+pub use series::{MetricSeries, SeriesRecorder, SeriesSet, SeriesSnapshot};
 pub use task::{
     Attribution, Lifecycle, LifecycleReport, Stage, StageAgg, TaskEnd, TaskSpan, TaskTrace,
     TaskTraceSet, TaskTracer, TraceConfig,
 };
 pub use trace::{SpanEvent, SpanKind, TraceSnapshot, Tracer};
-
-use std::sync::OnceLock;
 
 /// Optional observers for a replay: any combination of per-task
 /// lifecycle tracing, virtual-time series recording, and wall profiling.
@@ -77,17 +73,4 @@ pub struct Observers<'a> {
     /// week has handlers to time; the sequential smart-AP and ODR
     /// harnesses ignore it.
     pub profile: bool,
-}
-
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-
-/// The process-wide registry.
-///
-/// Library call-sites too deep to receive an explicit registry record
-/// here. Single-process deterministic runs (the `repro` binary) dump
-/// this registry; tests that need isolation should construct their own
-/// [`Registry`] instead of asserting on the global one, since parallel
-/// test threads share it.
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
 }

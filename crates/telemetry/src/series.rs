@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::export::{push_json_f64, push_json_str};
 use crate::registry::{Counter, Gauge, HistogramHandle};
@@ -402,26 +402,6 @@ impl SeriesSet {
     }
 }
 
-/// The most recently published series JSON, if any — the document
-/// `GET /metrics?series=1` serves. Process-wide like
-/// [`crate::global`], but explicitly published rather than ambient:
-/// a run opts its series in via [`publish_series`].
-static PUBLISHED: OnceLock<Mutex<Option<String>>> = OnceLock::new();
-
-fn published_slot() -> &'static Mutex<Option<String>> {
-    PUBLISHED.get_or_init(|| Mutex::new(None))
-}
-
-/// Publish a series JSON document for `GET /metrics?series=1`.
-pub fn publish_series(json: String) {
-    *published_slot().lock().unwrap_or_else(|e| e.into_inner()) = Some(json);
-}
-
-/// The currently published series JSON, if a run has published one.
-pub fn published_series() -> Option<String> {
-    published_slot().lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,11 +520,5 @@ mod tests {
         merged.merge(&ab);
         assert_eq!(merged, ab);
         assert!(merged.to_csv().starts_with("scenario,seed,t_ms,metric,value\n"));
-    }
-
-    #[test]
-    fn published_series_round_trips() {
-        publish_series("{\"cells\":[]}".to_string());
-        assert_eq!(published_series().as_deref(), Some("{\"cells\":[]}"));
     }
 }
