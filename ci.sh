@@ -58,6 +58,11 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== full-scale workload golden: the seed-2015 week at scale 1.0 =="
+# The suite pins the generated week at scale 0.05; the full-scale week is
+# too slow for a debug build, so its #[ignore]d pin runs here in release.
+cargo test --release -q -p odx --test workload_golden -- --ignored
+
 echo "== perfbench compiles against the tree =="
 # perfbench/ is a standalone crate outside the workspace, built from the
 # path crates it imports; a public-API change that breaks it fails here.

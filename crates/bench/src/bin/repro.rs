@@ -441,6 +441,10 @@ fn main() {
             check_write(parent, std::fs::create_dir_all(parent));
         }
     }
+    if let Some(path) = &opts.metrics {
+        // Fail on an unwritable path now, not after every replay has run.
+        check_write(path, std::fs::File::create(path));
+    }
 
     // `sweep`, `resilience`, and the lifecycle commands are standalone: they
     // build their own per-cell studies, so they run before (and can skip)
@@ -945,8 +949,10 @@ fn trace_cmd(opts: &Options, registry: &Registry) {
 fn check_trace_cmd(opts: &Options) {
     section("Check — validate a Chrome trace-event file");
     let Some(path) = &opts.json else { usage_error("check-trace without --json FILE") };
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("repro: cannot read {}: {e}", path.display());
+        std::process::exit(2)
+    });
     match validate_chrome_trace(&text) {
         Ok(stats) => println!(
             "  {} is valid: {} event(s), {} spans, {} instants, {} lane(s)",

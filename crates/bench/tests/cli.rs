@@ -198,3 +198,27 @@ fn unwritable_output_paths_exit_2_naming_the_path() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn unwritable_metrics_path_fails_before_any_study_runs() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-early-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("plain-file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let target = file.join("m.json");
+    let out = repro(&["table1", "--scale", "0.0005", "--metrics", target.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("repro: cannot write"), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(!text.contains("==="), "a section ran before the path was checked:\n{text}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn unreadable_check_trace_input_exits_2_naming_the_file() {
+    let out = repro(&["check-trace", "--json", "/nonexistent/t.json"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("repro: cannot read /nonexistent/t.json: "), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}

@@ -10,7 +10,7 @@
 //! position), so the DB is a plain vector with no id index.
 
 use odx_stats::dist::u01;
-use odx_trace::{Catalog, PopularityClass};
+use odx_trace::Catalog;
 use rand::Rng;
 
 /// Dynamic per-file state tracked by the database.
@@ -58,26 +58,12 @@ impl ContentDb {
     pub fn state_mut(&mut self, index: u32) -> &mut FileState {
         &mut self.states[index as usize]
     }
-
-    /// The popularity-class answer ODR receives for a file, from the
-    /// catalog's ground truth (the real DB has the trailing week's counts).
-    pub fn popularity_class(&self, catalog: &Catalog, index: u32) -> PopularityClass {
-        catalog.file(index).class()
-    }
-
-    /// Fraction of files currently cached.
-    pub fn cached_fraction(&self) -> f64 {
-        if self.states.is_empty() {
-            return 0.0;
-        }
-        self.states.iter().filter(|s| s.cached).count() as f64 / self.states.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odx_trace::CatalogConfig;
+    use odx_trace::{CatalogConfig, PopularityClass};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -90,8 +76,8 @@ mod tests {
 
     #[test]
     fn cold_db_has_nothing_cached() {
-        let (_, db) = setup();
-        assert_eq!(db.cached_fraction(), 0.0);
+        let (catalog, db) = setup();
+        assert!((0..catalog.len() as u32).all(|i| !db.state(i).cached));
     }
 
     #[test]
@@ -132,13 +118,5 @@ mod tests {
         assert!(db.state(3).cached);
         assert_eq!(db.state(3).failed_attempts, 5);
         assert!(!db.state(4).cached);
-    }
-
-    #[test]
-    fn popularity_class_passthrough() {
-        let (catalog, db) = setup();
-        for i in 0..100u32 {
-            assert_eq!(db.popularity_class(&catalog, i), catalog.file(i).class());
-        }
     }
 }

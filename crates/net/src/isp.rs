@@ -124,11 +124,6 @@ impl IspMix {
         }
         self.shares[0].0
     }
-
-    /// The probability a user is outside the four major ISPs.
-    pub fn outside_majors(&self) -> f64 {
-        self.shares.iter().filter(|(isp, _)| !isp.is_major()).map(|(_, s)| s).sum()
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +141,10 @@ mod tests {
     #[test]
     fn outside_majors_matches_paper() {
         // 9.6 % of fetches are limited by the ISP barrier (§4.2).
-        assert!((IspMix::default().outside_majors() - 0.096).abs() < 1e-12);
+        let mix = IspMix::default();
+        let outside: f64 =
+            mix.shares.iter().filter(|(isp, _)| !isp.is_major()).map(|(_, s)| s).sum();
+        assert!((outside - 0.096).abs() < 1e-12);
     }
 
     #[test]

@@ -44,12 +44,6 @@ impl OverheadModel {
     pub fn p2p_mean(&self) -> f64 {
         (self.p2p_lo + self.p2p_hi) / 2.0
     }
-
-    /// User-side traffic saving from fetching via the cloud instead of the
-    /// original swarm (§4.2): P2P factor minus the cloud-fetch factor.
-    pub fn cloud_saving_fraction(&self) -> f64 {
-        self.p2p_mean() - (self.http_lo + self.http_hi) / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -79,8 +73,10 @@ mod tests {
     #[test]
     fn cloud_saving_is_86_to_89_percent() {
         // §4.2: cloud fetching saves traffic comparable to 86–89 % of the
-        // file size for an average P2P user.
-        let saving = OverheadModel::default().cloud_saving_fraction();
+        // file size for an average P2P user: P2P factor minus the
+        // cloud-fetch factor.
+        let m = OverheadModel::default();
+        let saving = m.p2p_mean() - (m.http_lo + m.http_hi) / 2.0;
         assert!((0.86..=0.89).contains(&saving), "{saving}");
     }
 }

@@ -35,18 +35,6 @@ impl BandwidthMultiplier {
     pub fn multiplier(&self, swarm_size: f64) -> f64 {
         1.0 + self.eta * (1.0 + swarm_size.max(0.0)).ln()
     }
-
-    /// Aggregate distribution bandwidth from seeding `seed_kbps` into a
-    /// swarm of the given size.
-    pub fn aggregate_kbps(&self, seed_kbps: f64, swarm_size: f64) -> f64 {
-        seed_kbps * self.multiplier(swarm_size)
-    }
-
-    /// Cloud upload bandwidth needed to serve demand `demand_kbps` through
-    /// the swarm instead of direct uploads — the saving ODR banks on.
-    pub fn required_seed_kbps(&self, demand_kbps: f64, swarm_size: f64) -> f64 {
-        demand_kbps / self.multiplier(swarm_size)
-    }
 }
 
 /// A LEDBAT-style background-transport governor for cloud seeding: seeding
@@ -108,15 +96,6 @@ mod tests {
         // bandwidth several times — the basis of ODR's 35 % burden saving.
         let m = BandwidthMultiplier::default();
         assert!(m.multiplier(100.0) > 4.0, "{}", m.multiplier(100.0));
-    }
-
-    #[test]
-    fn required_seed_inverts_aggregate() {
-        let m = BandwidthMultiplier::default();
-        let demand = 1000.0;
-        let seed = m.required_seed_kbps(demand, 50.0);
-        assert!((m.aggregate_kbps(seed, 50.0) - demand).abs() < 1e-9);
-        assert!(seed < demand);
     }
 
     #[test]

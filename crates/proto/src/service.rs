@@ -82,11 +82,6 @@ impl OdrService {
         }
     }
 
-    /// Register or update a single file.
-    pub fn upsert(&self, id_hex: &str, popularity: PopularityClass, cached: bool) {
-        self.directory_mut().insert(id_hex.to_owned(), DirectoryEntry { popularity, cached });
-    }
-
     /// The directory, read-locked. Every write inserts whole rows, so a
     /// panic under the lock leaves nothing torn: poisoning is ignored.
     fn directory(&self) -> RwLockReadGuard<'_, HashMap<String, DirectoryEntry>> {
@@ -242,7 +237,7 @@ mod tests {
 
     fn service_with_file(pop: PopularityClass, cached: bool) -> Arc<OdrService> {
         let svc = OdrService::new(OdrEngine::default());
-        svc.upsert(&id_hex(0xabc), pop, cached);
+        svc.directory_mut().insert(id_hex(0xabc), DirectoryEntry { popularity: pop, cached });
         svc
     }
 

@@ -71,14 +71,6 @@ impl ApModel {
         }
     }
 
-    /// Storage capacity of the benchmark setup (MB).
-    pub fn bench_storage_capacity_mb(self) -> f64 {
-        match self {
-            ApModel::HiWiFi | ApModel::Newifi => 8_000.0,
-            ApModel::MiWiFi => 1_000_000.0,
-        }
-    }
-
     /// Whether the model supports 5 GHz 802.11ac (Table 1).
     pub fn has_80211ac(self) -> bool {
         !matches!(self, ApModel::HiWiFi)
@@ -156,6 +148,5 @@ mod tests {
     #[test]
     fn miwifi_is_the_premium_box() {
         assert!(ApModel::MiWiFi.price_usd() > 5.0 * ApModel::HiWiFi.price_usd());
-        assert!(ApModel::MiWiFi.bench_storage_capacity_mb() > 100_000.0);
     }
 }

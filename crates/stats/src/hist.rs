@@ -68,24 +68,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.total
     }
-
-    /// `(bin_center, count)` pairs.
-    pub fn centers(&self) -> Vec<(f64, u64)> {
-        let n = self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let frac = (i as f64 + 0.5) / n;
-                let center = if self.log {
-                    (self.lo.ln() + frac * (self.hi.ln() - self.lo.ln())).exp()
-                } else {
-                    self.lo + frac * (self.hi - self.lo)
-                };
-                (center, c)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -111,14 +93,6 @@ mod tests {
             h.record(x);
         }
         assert_eq!(h.counts(), &[2, 1, 2]);
-    }
-
-    #[test]
-    fn centers_are_inside_bins() {
-        let h = Histogram::logarithmic(1.0, 100.0, 2);
-        let c = h.centers();
-        assert!((c[0].0 - 10f64.powf(0.5)).abs() < 1e-9);
-        assert!((c[1].0 - 10f64.powf(1.5)).abs() < 1e-9);
     }
 
     #[test]

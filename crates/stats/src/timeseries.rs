@@ -100,18 +100,6 @@ impl BinnedSeries {
     pub fn total_amount(&self) -> f64 {
         self.bins.iter().sum::<f64>() * self.bin_width
     }
-
-    /// Element-wise ratio of another series to this one (other / self), with
-    /// 0/0 = 0. Panics if lengths differ. Used for "fraction of burden due to
-    /// highly popular files" (Fig 11's lower curve over the upper one).
-    pub fn ratio_of(&self, other: &BinnedSeries) -> Vec<f64> {
-        assert_eq!(self.bins.len(), other.bins.len(), "series length mismatch");
-        self.bins
-            .iter()
-            .zip(&other.bins)
-            .map(|(&a, &b)| if a > 0.0 { b / a } else { 0.0 })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -163,14 +151,5 @@ mod tests {
         s.add_rate_interval(0.0, 1.0, -2.0);
         s.add_rate_interval(0.0, 1.0, f64::NAN);
         assert_eq!(s.total_amount(), 0.0);
-    }
-
-    #[test]
-    fn ratio() {
-        let mut a = BinnedSeries::new(20.0, 10.0);
-        let mut b = BinnedSeries::new(20.0, 10.0);
-        a.add_rate_interval(0.0, 20.0, 4.0);
-        b.add_rate_interval(0.0, 10.0, 1.0);
-        assert_eq!(a.ratio_of(&b), vec![0.25, 0.0]);
     }
 }

@@ -41,7 +41,7 @@ pub use users::{Population, PopulationConfig, User};
 
 // Re-exported for convenience: the ISP type every record carries.
 pub use odx_net::Isp;
-pub use workload::{Request, RequestStream, Workload, WorkloadConfig};
+pub use workload::{Request, Workload, WorkloadConfig};
 
 /// The measurement week: 7 simulated days.
 pub const WEEK: odx_sim::SimDuration = odx_sim::SimDuration::from_days(7);

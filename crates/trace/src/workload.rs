@@ -1,6 +1,6 @@
 //! Request-stream generation over the measurement week.
 
-use odx_sim::SimTime;
+use odx_sim::{SimDuration, SimTime};
 use odx_stats::dist::u01;
 use rand::Rng;
 
@@ -52,75 +52,6 @@ impl WorkloadConfig {
     }
 }
 
-/// Streaming, chunked expansion of the catalog's ground-truth weekly
-/// counts into requests, in generation (file-major) order.
-///
-/// The stream draws from the RNG in exactly the order the old eager loop
-/// did — per request: the arrival-time rejection sampler first, then the
-/// user index — so any consumer that drains it reproduces
-/// [`Workload::generate`]'s request sequence byte for byte (pinned under
-/// test). Consumers that don't need the whole week at once (admission
-/// pipelines, samplers) can process one bounded chunk at a time instead of
-/// materializing millions of requests up front.
-pub struct RequestStream<'a, 'r> {
-    catalog: &'a Catalog,
-    population: &'a Population,
-    cfg: &'a WorkloadConfig,
-    rng: &'r mut dyn Rng,
-    max_intensity: f64,
-    file_idx: usize,
-    emitted_for_file: u32,
-}
-
-impl<'a, 'r> RequestStream<'a, 'r> {
-    /// A stream over the whole catalog, starting at the first file.
-    pub fn new(
-        catalog: &'a Catalog,
-        population: &'a Population,
-        cfg: &'a WorkloadConfig,
-        rng: &'r mut dyn Rng,
-    ) -> Self {
-        let max_intensity =
-            cfg.day_weights.iter().fold(0.0f64, |a, &b| a.max(b)) * (1.0 + cfg.diurnal_amplitude);
-        RequestStream {
-            catalog,
-            population,
-            cfg,
-            rng,
-            max_intensity,
-            file_idx: 0,
-            emitted_for_file: 0,
-        }
-    }
-
-    /// Clear `buf` and fill it with up to `max` requests in generation
-    /// order. Returns `false` (with `buf` empty) once the stream is
-    /// exhausted. The buffer is caller-owned so a full drain allocates one
-    /// chunk, not one `Vec` per call.
-    pub fn next_chunk(&mut self, buf: &mut Vec<Request>, max: usize) -> bool {
-        buf.clear();
-        while buf.len() < max && self.file_idx < self.catalog.len() {
-            let file = self.catalog.file(self.file_idx as u32);
-            if self.emitted_for_file >= file.weekly_requests {
-                self.file_idx += 1;
-                self.emitted_for_file = 0;
-                continue;
-            }
-            self.emitted_for_file += 1;
-            let at = sample_arrival(self.cfg, self.max_intensity, self.rng);
-            buf.push(Request {
-                user: self.population.sample_index(self.rng),
-                file: self.file_idx as u32,
-                at,
-            });
-        }
-        !buf.is_empty()
-    }
-}
-
-/// Requests per [`RequestStream`] chunk during workload generation.
-const GENERATE_CHUNK: usize = 65_536;
-
 /// The generated request stream, sorted by arrival time.
 #[derive(Debug, Clone)]
 pub struct Workload {
@@ -131,25 +62,28 @@ impl Workload {
     /// Expand the catalog's ground-truth weekly counts into timestamped
     /// requests assigned to random users. Deterministic in `rng`.
     ///
-    /// Generation flows through the chunked [`RequestStream`] (one bounded
-    /// buffer at a time) and a final stable sort by arrival time — the
-    /// request sequence is byte-identical to the old eager file-major
-    /// loop. The sorted array itself stays materialized: replay handlers,
-    /// trace exporters, and samplers index it randomly, and at 16 bytes a
-    /// request even the full-scale week is ~65 MB — the multi-hundred-MB
-    /// cost the streaming path eliminates is the up-front event-queue
-    /// population, which now streams through chunked admission instead.
+    /// Requests are drawn file by file (per request: the arrival-time
+    /// rejection sampler, then the user index) into one presized vector,
+    /// then stably sorted by arrival time. The array stays materialized:
+    /// replay handlers, trace exporters and samplers index it randomly, and
+    /// at 16 bytes a request the full-scale week is ~65 MB.
     pub fn generate(
         catalog: &Catalog,
         population: &Population,
         cfg: &WorkloadConfig,
         rng: &mut dyn Rng,
     ) -> Self {
+        let sampler = ArrivalSampler::new(cfg);
         let mut requests = Vec::with_capacity(catalog.total_requests() as usize);
-        let mut stream = RequestStream::new(catalog, population, cfg, rng);
-        let mut chunk = Vec::with_capacity(GENERATE_CHUNK.min(requests.capacity()));
-        while stream.next_chunk(&mut chunk, GENERATE_CHUNK) {
-            requests.extend_from_slice(&chunk);
+        for (file, meta) in catalog.files().iter().enumerate() {
+            for _ in 0..meta.weekly_requests {
+                let at = sampler.sample(rng);
+                requests.push(Request {
+                    user: population.sample_index(rng),
+                    file: file as u32,
+                    at,
+                });
+            }
         }
         requests.sort_by_key(|r| r.at);
         Workload { requests }
@@ -171,13 +105,69 @@ impl Workload {
     }
 }
 
-/// Rejection-sample an arrival time across the week according to the
+/// Width of one [`ArrivalSampler`] bucket. It divides a day, so the day
+/// weight is constant within a bucket.
+const BUCKET_MS: u64 = 60_000;
+
+/// Rejection sampler for arrival times across the week, following the
 /// intensity profile.
-fn sample_arrival(cfg: &WorkloadConfig, max_intensity: f64, rng: &mut dyn Rng) -> SimTime {
-    loop {
-        let t = SimTime::from_millis((u01(rng) * crate::WEEK.as_millis() as f64) as u64);
-        if u01(rng) * max_intensity <= cfg.intensity(t) {
-            return t;
+///
+/// A trial draws a uniform instant `t` and a uniform level `u` below the
+/// profile's maximum, and accepts `t` when `u <= cfg.intensity(t)`. Most
+/// trials are decided without the `cos` by a squeeze: per 60 s bucket of
+/// the week, `bounds` holds `(lo, hi)` with `lo <= cfg.intensity(t) <= hi`
+/// for every millisecond `t` in the bucket, as computed in floating point.
+/// `u <= lo` accepts, `u > hi` rejects, and anything else (NaN included)
+/// falls through to the exact comparison, so every decision and every RNG
+/// draw is the one the plain loop makes.
+struct ArrivalSampler<'a> {
+    cfg: &'a WorkloadConfig,
+    max_intensity: f64,
+    bounds: Vec<(f64, f64)>,
+}
+
+impl<'a> ArrivalSampler<'a> {
+    fn new(cfg: &'a WorkloadConfig) -> Self {
+        let max_intensity =
+            cfg.day_weights.iter().fold(0.0f64, |a, &b| a.max(b)) * (1.0 + cfg.diurnal_amplitude);
+        let amplitude = cfg.diurnal_amplitude.abs();
+        // The diurnal term moves at most |w| · |a| · 2π / day per ms, so
+        // over one bucket the exact profile strays at most this far from
+        // its value at the bucket start.
+        let day_ms = SimDuration::from_days(1).as_millis() as f64;
+        let drift = amplitude * std::f64::consts::TAU * BUCKET_MS as f64 / day_ms;
+        // Rounding in `intensity` (the phase grows with |peak hour|) and in
+        // the bounds themselves stays far below this slack; the absolute
+        // `MIN_POSITIVE` covers rounding among subnormal weights.
+        let slack = 1e-12 * (1.0 + amplitude) * (1.0 + cfg.diurnal_peak_hour.abs());
+        let bounds = (0..crate::WEEK.as_millis() / BUCKET_MS)
+            .map(|b| {
+                let start = SimTime::from_millis(b * BUCKET_MS);
+                let weight = cfg.day_weights[(start.day() as usize).min(6)].abs();
+                let at_start = cfg.intensity(start);
+                let margin = weight * (drift + slack) + f64::MIN_POSITIVE;
+                (at_start - margin, at_start + margin)
+            })
+            .collect();
+        ArrivalSampler { cfg, max_intensity, bounds }
+    }
+
+    /// Draw one arrival time: per trial, the instant first, then the level.
+    fn sample(&self, rng: &mut dyn Rng) -> SimTime {
+        loop {
+            let t = SimTime::from_millis((u01(rng) * crate::WEEK.as_millis() as f64) as u64);
+            let u = u01(rng) * self.max_intensity;
+            if let Some(&(lo, hi)) = self.bounds.get((t.as_millis() / BUCKET_MS) as usize) {
+                if u <= lo {
+                    return t;
+                }
+                if u > hi {
+                    continue;
+                }
+            }
+            if u <= self.cfg.intensity(t) {
+                return t;
+            }
         }
     }
 }
@@ -198,47 +188,90 @@ mod tests {
         (catalog, population, w)
     }
 
-    #[test]
-    fn chunked_stream_matches_the_eager_loop_byte_for_byte() {
-        let mut rng = StdRng::seed_from_u64(60);
-        let catalog = Catalog::generate(&CatalogConfig::scaled(0.02), &mut rng);
-        let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
-        let cfg = WorkloadConfig::default();
+    /// The sampler as it was before the squeeze, kept verbatim as the
+    /// reference [`ArrivalSampler`] must reproduce draw for draw.
+    fn reference_sample_arrival(
+        cfg: &WorkloadConfig,
+        max_intensity: f64,
+        rng: &mut dyn Rng,
+    ) -> SimTime {
+        loop {
+            let t = SimTime::from_millis((u01(rng) * crate::WEEK.as_millis() as f64) as u64);
+            if u01(rng) * max_intensity <= cfg.intensity(t) {
+                return t;
+            }
+        }
+    }
 
-        // The pre-streaming implementation: one eager file-major pass.
-        let mut eager_rng = rng.clone();
-        let mut generate_rng = rng.clone();
+    /// The reference generator: one eager file-major pass over the plain
+    /// sampler, then a stable sort by arrival time.
+    fn reference_generate(
+        catalog: &Catalog,
+        population: &Population,
+        cfg: &WorkloadConfig,
+        rng: &mut dyn Rng,
+    ) -> Vec<Request> {
         let max_intensity =
             cfg.day_weights.iter().fold(0.0f64, |a, &b| a.max(b)) * (1.0 + cfg.diurnal_amplitude);
         let mut eager = Vec::new();
         for (file_idx, file) in catalog.files().iter().enumerate() {
             for _ in 0..file.weekly_requests {
-                let at = sample_arrival(&cfg, max_intensity, &mut eager_rng);
+                let at = reference_sample_arrival(cfg, max_intensity, rng);
                 eager.push(Request {
-                    user: population.sample_index(&mut eager_rng),
+                    user: population.sample_index(rng),
                     file: file_idx as u32,
                     at,
                 });
             }
         }
+        eager.sort_by_key(|r| r.at);
+        eager
+    }
 
-        // Drain the stream with a deliberately awkward chunk size so
-        // chunk boundaries land mid-file.
-        let mut streamed = Vec::new();
-        let mut stream = RequestStream::new(&catalog, &population, &cfg, &mut rng);
-        let mut chunk = Vec::new();
-        while stream.next_chunk(&mut chunk, 7) {
-            assert!(chunk.len() <= 7);
-            streamed.extend_from_slice(&chunk);
+    /// The default profile and three that stress the squeeze: flat, full
+    /// swing, and a midnight peak under non-monotone day weights.
+    fn profiles() -> Vec<WorkloadConfig> {
+        let default = WorkloadConfig::default();
+        vec![
+            default,
+            WorkloadConfig { diurnal_amplitude: 0.0, ..default },
+            WorkloadConfig { diurnal_amplitude: 1.0, ..default },
+            WorkloadConfig {
+                day_weights: [1.3, 0.4, 1.1, 0.2, 0.9, 1.5, 0.7],
+                diurnal_amplitude: 0.55,
+                diurnal_peak_hour: 0.0,
+            },
+        ]
+    }
+
+    #[test]
+    fn squeeze_bounds_hold_across_every_bucket() {
+        let mut rng = StdRng::seed_from_u64(61);
+        for cfg in profiles() {
+            let sampler = ArrivalSampler::new(&cfg);
+            assert_eq!(sampler.bounds.len() as u64 * BUCKET_MS, crate::WEEK.as_millis());
+            for (b, &(lo, hi)) in sampler.bounds.iter().enumerate() {
+                let start = b as u64 * BUCKET_MS;
+                let inside = (rng.next_u64() % BUCKET_MS) + start;
+                for ms in [start, start + BUCKET_MS - 1, inside] {
+                    let exact = cfg.intensity(SimTime::from_millis(ms));
+                    assert!(lo <= exact && exact <= hi, "{cfg:?} at {ms} ms: {lo} {exact} {hi}");
+                }
+            }
         }
-        assert_eq!(streamed, eager);
+    }
 
-        // And Workload::generate is exactly the stable sort of that
-        // generation-order sequence.
-        let mut sorted = eager;
-        sorted.sort_by_key(|r| r.at);
-        let w = Workload::generate(&catalog, &population, &cfg, &mut generate_rng);
-        assert_eq!(w.requests(), &sorted[..]);
+    #[test]
+    fn generate_matches_the_reference_loop_byte_for_byte() {
+        let mut rng = StdRng::seed_from_u64(60);
+        let catalog = Catalog::generate(&CatalogConfig::scaled(0.02), &mut rng);
+        let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
+        let skewed = profiles()[3];
+        for cfg in [WorkloadConfig::default(), skewed] {
+            let reference = reference_generate(&catalog, &population, &cfg, &mut rng.clone());
+            let w = Workload::generate(&catalog, &population, &cfg, &mut rng.clone());
+            assert_eq!(w.requests(), &reference[..], "{cfg:?}");
+        }
     }
 
     #[test]
