@@ -157,6 +157,18 @@ cargo run --release -p odx-bench --bin repro -- ablate-concurrency \
 diff "$SWEEP_TMP/ablate_concurrency.txt" tests/golden/ablate_concurrency_s2015_scale001_sample100.txt
 echo "concurrency ablation identical to the golden"
 
+echo "== metrics golden: several replays share one --metrics registry =="
+# `repro` passes one registry to every replay of an invocation. This dump
+# of a faulted, retried headline plus the privileged-path ablation pins
+# how their counts add up (the cumulative cache.lru.hit_ratio included).
+cargo run --release -p odx-bench --bin repro -- \
+  --scenario-file examples/flaky-week.json --scenario flaky-week --set retry.policy=expo \
+  headline ablate-privileged --scale 0.005 --sample 200 \
+  --metrics "$SWEEP_TMP/metrics_flaky.json" > /dev/null
+diff "$SWEEP_TMP/metrics_flaky.json" \
+  tests/golden/metrics_flaky_expo_headline_ablate_privileged_s2015_scale0005.json
+echo "multi-replay metrics dump identical to the golden"
+
 echo "== trace exports: the three TSVs and six Fig 8/9 CDF dumps match their checksums =="
 # Pinned before the per-task records became ledger columns: the exports
 # as the CLI writes them must not move a byte.

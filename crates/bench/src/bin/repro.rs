@@ -289,7 +289,7 @@ fn parse_args() -> Options {
     let mut scenario_files: Vec<PathBuf> = Vec::new();
     let mut sets: Vec<(String, Json)> = Vec::new();
     let mut dump_all = false;
-    let mut scale = 0.1;
+    let mut scale: f64 = 0.1;
     let mut seed = 2015;
     let mut seeds = 1;
     let mut jobs = 1;
@@ -319,11 +319,21 @@ fn parse_args() -> Options {
                     (None, None) => usage_error(&format!("cache or retry policy `{name}`")),
                 }
             }
-            "--scale" => scale = flag_value(&mut args, "--scale"),
+            "--scale" => {
+                scale = flag_value(&mut args, "--scale");
+                if !(scale.is_finite() && scale > 0.0) {
+                    fail_usage(&format!("--scale must be finite and > 0 (got `{scale}`)"));
+                }
+            }
             "--seed" => seed = flag_value(&mut args, "--seed"),
             "--seeds" => seeds = flag_value(&mut args, "--seeds"),
             "--jobs" => jobs = flag_value(&mut args, "--jobs"),
-            "--sample" => sample = flag_value(&mut args, "--sample"),
+            "--sample" => {
+                sample = flag_value(&mut args, "--sample");
+                if sample == 0 {
+                    fail_usage("--sample must be at least 1");
+                }
+            }
             "--trace-sample" => trace_sample = flag_value(&mut args, "--trace-sample"),
             "--out" => out = Some(flag_value(&mut args, "--out")),
             "--metrics" => metrics = Some(flag_value(&mut args, "--metrics")),

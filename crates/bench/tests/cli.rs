@@ -109,6 +109,18 @@ fn missing_or_malformed_flag_values_exit_2_naming_the_flag() {
         assert_eq!(out.status.code(), Some(2), "`repro list {flag} abc`: {}", stderr(&out));
         assert!(stderr(&out).contains(&format!("{flag}: invalid value `abc`")), "{}", stderr(&out));
     }
+    // Parsable but out of range: no study can be built at these.
+    for (flag, value) in [
+        ("--scale", "0"),
+        ("--scale", "-1"),
+        ("--scale", "nan"),
+        ("--scale", "inf"),
+        ("--sample", "0"),
+    ] {
+        let out = repro(&["list", flag, value]);
+        assert_eq!(out.status.code(), Some(2), "`repro list {flag} {value}`: {}", stderr(&out));
+        assert!(stderr(&out).contains(&format!("{flag} must be")), "{}", stderr(&out));
+    }
 }
 
 #[test]

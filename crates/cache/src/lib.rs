@@ -22,9 +22,6 @@
 //! * [`S3FifoCache`] — S3-FIFO-style admission: a small probationary FIFO,
 //!   a main FIFO, and a ghost list; one-hit wonders are evicted before they
 //!   ever displace proven content (TinyLFU-style admission control).
-//! * [`InstrumentedCache`] — a telemetry wrapper recording
-//!   `cache.<policy>.{hit,miss,eviction}` counters plus byte-occupancy and
-//!   hit-ratio gauges into an [`odx_telemetry::Registry`].
 //! * [`CacheConfig`] / [`PolicyKind`] — the one value a scenario carries to
 //!   name its policy (`repro cache-compare` sweeps [`PolicyKind::ALL`]).
 //!
@@ -40,13 +37,11 @@
 mod gdsf;
 mod lfu;
 mod lru;
-mod metrics;
 mod policy;
 mod s3fifo;
 
 pub use gdsf::GdsfCache;
 pub use lfu::LfuCache;
 pub use lru::LruCache;
-pub use metrics::InstrumentedCache;
 pub use policy::{CacheConfig, CachePolicy, PolicyKind};
 pub use s3fifo::S3FifoCache;

@@ -12,12 +12,11 @@ use odx_sim::{Ctx, RngFactory, SimDuration, SimRng, SimTime, Simulation, World};
 use odx_stats::dist::u01;
 use odx_stats::{BinnedSeries, Ecdf};
 use odx_telemetry::{
-    Counter, Gauge, Histogram, HistogramHandle, Lifecycle, LifecycleReport, Observers, Registry,
-    SeriesRecorder, Stage, TaskEnd,
+    Histogram, Lifecycle, LifecycleReport, Observers, Registry, SeriesRecorder, Stage, TaskEnd,
 };
 use odx_trace::{Catalog, PopularityClass, Population, Workload};
 
-use odx_cache::InstrumentedCache;
+use odx_cache::CachePolicy;
 
 use crate::ledger::{fetched_mb, FetchLedger, PredlGroup, PredownloadLedger};
 use crate::{CloudConfig, CloudWeekBackend, ContentDb, PredownloadOutcome};
@@ -86,27 +85,49 @@ pub struct WeekReport {
     pub failure_by_popularity: Vec<(f64, f64)>,
 }
 
+// The headline ratios behind both `WeekReport`'s and the registry's.
+impl Counters {
+    fn hit_ratio(&self) -> f64 {
+        self.cache_hits as f64 / self.requests.max(1) as f64
+    }
+
+    fn failure_ratio(&self) -> f64 {
+        self.predownload_failures as f64 / self.requests.max(1) as f64
+    }
+
+    fn rejection_ratio(&self) -> f64 {
+        self.rejected_fetches as f64 / self.fetch_attempts()
+    }
+
+    fn impeded_ratio(&self) -> f64 {
+        self.impeded_fetches as f64 / self.fetch_attempts()
+    }
+
+    /// Every fetch attempt is rejected or completes.
+    fn fetch_attempts(&self) -> f64 {
+        (self.rejected_fetches + self.completed_fetches).max(1) as f64
+    }
+}
+
 impl WeekReport {
     /// Cache-hit ratio over all requests (§2.1: 89 %).
     pub fn hit_ratio(&self) -> f64 {
-        self.counters.cache_hits as f64 / self.counters.requests.max(1) as f64
+        self.counters.hit_ratio()
     }
 
     /// Per-request pre-download failure ratio (§4.1: 8.7 %).
     pub fn failure_ratio(&self) -> f64 {
-        self.counters.predownload_failures as f64 / self.counters.requests.max(1) as f64
+        self.counters.failure_ratio()
     }
 
     /// Fraction of fetch attempts rejected (§4.2: 1.5 %).
     pub fn rejection_ratio(&self) -> f64 {
-        let attempts = self.fetches.len().max(1);
-        self.counters.rejected_fetches as f64 / attempts as f64
+        self.counters.rejection_ratio()
     }
 
     /// Fraction of fetches below the HD threshold (§4.2: 28 %).
     pub fn impeded_ratio(&self) -> f64 {
-        let attempts = self.fetches.len().max(1);
-        self.counters.impeded_fetches as f64 / attempts as f64
+        self.counters.impeded_ratio()
     }
 
     /// Pre-download speed ECDF over cache misses (failures contribute ~0),
@@ -197,7 +218,7 @@ pub enum Ev {
         /// Workload request index.
         req: u32,
         /// Pool that served the flow.
-        server_isp: Option<Isp>,
+        server_isp: Isp,
         /// Bandwidth reserved in that pool (KBps).
         reserved_kbps: f64,
         /// User-visible fetch rate (KBps).
@@ -224,125 +245,124 @@ pub enum Ev {
 /// Sentinel terminating the per-file waiter lists in the task arena.
 const NO_WAITER: u32 = u32::MAX;
 
-/// Cached telemetry handles for the cloud replay. Handles are resolved
-/// once at world construction so the per-event cost is an atomic add,
-/// not a name lookup.
-struct CloudMetrics {
-    requests: Counter,
-    cache_hit: Counter,
-    cache_miss: Counter,
-    dedup_joined: Counter,
-    predownload_success: Counter,
-    predownload_stagnation: Counter,
-    failures_by_cause: [Counter; 3],
-    fetch_completed: Counter,
-    fetch_impeded: Counter,
-    fault_window: Counter,
-    fault_predownload_forced: Counter,
-    fault_predownload_slowed: Counter,
-    fault_fetch_degraded: Counter,
-    retry_attempt: Counter,
-    retry_rescued: Counter,
-    retry_exhausted: Counter,
-    fetch_rate_kbps: HistogramHandle,
-    predownload_delay_ms: HistogramHandle,
-    // Headline ratio gauges, also refreshed at every series sample so
-    // mid-run curves show the pool warming (the paper's Fig-shaped
-    // evolution), not just the end-of-week value.
-    hit_ratio: Gauge,
-    failure_ratio: Gauge,
-    rejection_ratio: Gauge,
-    impeded_ratio: Gauge,
-}
-
-/// Hot-path mirrors of the registry metrics: plain integers and local
-/// histograms bumped by the event handler and flushed to the shared
-/// handles once per replay, so the per-event cost is an add — no `Arc`
-/// chase, no atomic RMW, no mutex. The flush is exact (counter totals
-/// and the integral histogram merge), so the final snapshot is
-/// byte-identical to per-event recording.
+/// The replay's one book: each fact an event handler learns, counted
+/// once in a plain field. [`Counters`] and every name the replay writes
+/// into the registry are functions of it, so the per-event cost is an
+/// add: no atomic, no lock.
 #[derive(Default)]
-struct HotMetrics {
-    requests: u64,
-    cache_hit: u64,
-    cache_miss: u64,
-    dedup_joined: u64,
+struct Tally {
+    /// Arrivals served from the pool.
+    pool_hits: u64,
+    /// Arrivals that joined another user's in-flight pre-download.
+    joined: u64,
+    /// Arrivals that started a pre-download.
+    initiated: u64,
+    /// Joiners of pre-downloads that finally failed: [`Counters`] takes
+    /// them back out of its hits, `cloud.cache.hit` keeps them.
+    failed_joiners: u64,
     predownload_success: u64,
-    predownload_stagnation: u64,
+    /// Pre-download attempts that stagnated, retried or not.
+    stagnations: u64,
+    /// Failed requests by cause: [insufficient seeds, poor connection,
+    /// system bug].
     failures_by_cause: [u64; 3],
-    fetch_completed: u64,
-    fetch_impeded: u64,
-    fault_window: u64,
-    fault_predownload_forced: u64,
-    fault_predownload_slowed: u64,
-    fault_fetch_degraded: u64,
-    retry_attempt: u64,
+    rejected: u64,
+    completed: u64,
+    impeded: u64,
+    impeded_barrier: u64,
+    impeded_low_access: u64,
+    impeded_dynamics: u64,
+    predownload_traffic_mb: f64,
+    predownload_payload_mb: f64,
+    fault_windows: u64,
+    fault_forced: u64,
+    fault_slowed: u64,
+    fault_degraded: u64,
+    retry_attempts: u64,
     retry_rescued: u64,
     retry_exhausted: u64,
+    /// Admitted fetches per serving pool, in `Isp::major_index` order.
+    admitted: [u64; 4],
+    cross_isp: u64,
+    /// Keys evicted by pre-download inserts, refused insertees included.
+    evictions: u64,
+    /// Bytes of completed fetches, each rounded to a whole byte.
+    fetched_bytes: u64,
+    // The two histograms hold only what the last drain has not taken.
     fetch_rate_kbps: Histogram,
     predownload_delay_ms: Histogram,
 }
 
-impl CloudMetrics {
-    fn new(registry: &Registry) -> CloudMetrics {
-        CloudMetrics {
-            requests: registry.counter("cloud.requests"),
-            cache_hit: registry.counter("cloud.cache.hit"),
-            cache_miss: registry.counter("cloud.cache.miss"),
-            dedup_joined: registry.counter("cloud.dedup.joined"),
-            predownload_success: registry.counter("cloud.predownload.success"),
-            predownload_stagnation: registry.counter("cloud.predownload.stagnation"),
-            failures_by_cause: [
-                registry.counter("cloud.predownload.fail.seeds"),
-                registry.counter("cloud.predownload.fail.connection"),
-                registry.counter("cloud.predownload.fail.bug"),
-            ],
-            fetch_completed: registry.counter("cloud.fetch.completed"),
-            fetch_impeded: registry.counter("cloud.fetch.impeded"),
-            fault_window: registry.counter("cloud.fault.window"),
-            fault_predownload_forced: registry.counter("cloud.fault.predownload.forced"),
-            fault_predownload_slowed: registry.counter("cloud.fault.predownload.slowed"),
-            fault_fetch_degraded: registry.counter("cloud.fault.fetch.degraded"),
-            retry_attempt: registry.counter("cloud.retry.attempt"),
-            retry_rescued: registry.counter("cloud.retry.rescued"),
-            retry_exhausted: registry.counter("cloud.retry.exhausted"),
-            fetch_rate_kbps: registry.histogram("cloud.fetch.rate_kbps"),
-            predownload_delay_ms: registry.histogram("cloud.predownload.delay_ms"),
-            hit_ratio: registry.gauge("cloud.hit_ratio"),
-            failure_ratio: registry.gauge("cloud.failure_ratio"),
-            rejection_ratio: registry.gauge("cloud.rejection_ratio"),
-            impeded_ratio: registry.gauge("cloud.impeded_ratio"),
-        }
+impl Tally {
+    fn requests(&self) -> u64 {
+        self.pool_hits + self.joined + self.initiated
     }
 
-    /// Drain the accumulated hot-path tallies into the shared handles
-    /// (see [`HotMetrics`]), leaving the batch empty. Draining (rather
-    /// than adding and keeping) lets mid-run series samples flush the
-    /// same batch repeatedly without double-counting; the end-of-run
-    /// call just pushes whatever accumulated since the last sample.
-    fn drain(&self, hot: &mut HotMetrics) {
-        self.requests.add(std::mem::take(&mut hot.requests));
-        self.cache_hit.add(std::mem::take(&mut hot.cache_hit));
-        self.cache_miss.add(std::mem::take(&mut hot.cache_miss));
-        self.dedup_joined.add(std::mem::take(&mut hot.dedup_joined));
-        self.predownload_success.add(std::mem::take(&mut hot.predownload_success));
-        self.predownload_stagnation.add(std::mem::take(&mut hot.predownload_stagnation));
-        for (handle, n) in self.failures_by_cause.iter().zip(&mut hot.failures_by_cause) {
-            handle.add(std::mem::take(n));
+    fn counters(&self) -> Counters {
+        Counters {
+            requests: self.requests(),
+            cache_hits: self.pool_hits + self.joined - self.failed_joiners,
+            predownload_failures: self.failures_by_cause.iter().sum(),
+            failures_by_cause: self.failures_by_cause,
+            rejected_fetches: self.rejected,
+            completed_fetches: self.completed,
+            impeded_fetches: self.impeded,
+            impeded_barrier: self.impeded_barrier,
+            impeded_low_access: self.impeded_low_access,
+            impeded_dynamics: self.impeded_dynamics,
+            predownload_traffic_mb: self.predownload_traffic_mb,
+            predownload_payload_mb: self.predownload_payload_mb,
+            fault_windows: self.fault_windows,
+            fault_forced_failures: self.fault_forced,
+            fault_slowed_predownloads: self.fault_slowed,
+            fault_degraded_fetches: self.fault_degraded,
+            retry_attempts: self.retry_attempts,
+            retry_rescued: self.retry_rescued,
+            retry_exhausted: self.retry_exhausted,
         }
-        self.fetch_completed.add(std::mem::take(&mut hot.fetch_completed));
-        self.fetch_impeded.add(std::mem::take(&mut hot.fetch_impeded));
-        self.fault_window.add(std::mem::take(&mut hot.fault_window));
-        self.fault_predownload_forced.add(std::mem::take(&mut hot.fault_predownload_forced));
-        self.fault_predownload_slowed.add(std::mem::take(&mut hot.fault_predownload_slowed));
-        self.fault_fetch_degraded.add(std::mem::take(&mut hot.fault_fetch_degraded));
-        self.retry_attempt.add(std::mem::take(&mut hot.retry_attempt));
-        self.retry_rescued.add(std::mem::take(&mut hot.retry_rescued));
-        self.retry_exhausted.add(std::mem::take(&mut hot.retry_exhausted));
-        self.fetch_rate_kbps.merge(&std::mem::take(&mut hot.fetch_rate_kbps));
-        self.predownload_delay_ms.merge(&std::mem::take(&mut hot.predownload_delay_ms));
     }
 }
+
+/// Reads one count off the tally.
+type Fact = fn(&Tally) -> u64;
+
+/// Every registry counter the replay writes, with the tally fact it
+/// reads (`*` stands for the cache policy's name). Several names restate
+/// others: the pool's own hits are `cloud.cache.hit` less the dedup
+/// joins, and `backend.cloud.*` restates the fetch outcomes.
+const REGISTRY_COUNTERS: [(&str, Fact); 31] = [
+    ("cloud.requests", Tally::requests),
+    ("cloud.cache.hit", |t| t.pool_hits + t.joined),
+    ("cloud.cache.miss", |t| t.initiated),
+    ("cloud.dedup.joined", |t| t.joined),
+    ("cloud.predownload.success", |t| t.predownload_success),
+    ("cloud.predownload.stagnation", |t| t.stagnations),
+    ("cloud.predownload.fail.seeds", |t| t.failures_by_cause[0]),
+    ("cloud.predownload.fail.connection", |t| t.failures_by_cause[1]),
+    ("cloud.predownload.fail.bug", |t| t.failures_by_cause[2]),
+    ("cloud.fetch.completed", |t| t.completed),
+    ("cloud.fetch.impeded", |t| t.impeded),
+    ("cloud.fault.window", |t| t.fault_windows),
+    ("cloud.fault.predownload.forced", |t| t.fault_forced),
+    ("cloud.fault.predownload.slowed", |t| t.fault_slowed),
+    ("cloud.fault.fetch.degraded", |t| t.fault_degraded),
+    ("cloud.retry.attempt", |t| t.retry_attempts),
+    ("cloud.retry.rescued", |t| t.retry_rescued),
+    ("cloud.retry.exhausted", |t| t.retry_exhausted),
+    ("cloud.upload.admit.unicom", |t| t.admitted[0]),
+    ("cloud.upload.admit.telecom", |t| t.admitted[1]),
+    ("cloud.upload.admit.mobile", |t| t.admitted[2]),
+    ("cloud.upload.admit.cernet", |t| t.admitted[3]),
+    ("cloud.upload.cross_isp", |t| t.cross_isp),
+    ("cloud.upload.reject", |t| t.rejected),
+    ("backend.cloud.requests", |t| t.completed + t.rejected),
+    ("backend.cloud.success", |t| t.completed),
+    ("backend.cloud.failure", |t| t.rejected),
+    ("backend.cloud.bytes", |t| t.fetched_bytes),
+    ("cache.*.hit", |t| t.pool_hits),
+    ("cache.*.miss", |t| t.joined + t.initiated),
+    ("cache.*.eviction", |t| t.evictions),
+];
 
 /// Register the cloud replay's headline metrics on a series recorder:
 /// engine throughput, the request/cache/pre-download/fetch counters, the
@@ -402,7 +422,7 @@ pub struct XuanfengCloud<'a> {
     population: &'a Population,
     workload: &'a Workload,
     db: ContentDb,
-    pool: InstrumentedCache,
+    pool: Box<dyn CachePolicy>,
     backend: CloudWeekBackend,
     rng_think: SimRng,
     // Compiled fault schedule plus the runtime streams it draws from.
@@ -434,7 +454,11 @@ pub struct XuanfengCloud<'a> {
     fetches: FetchLedger,
     burden: BinnedSeries,
     burden_hot: BinnedSeries,
-    counters: Counters,
+    tally: Tally,
+    // What each `REGISTRY_COUNTERS` row last wrote into `registry`: a
+    // drain adds only the growth since, as replays may share a registry.
+    drained: [u64; REGISTRY_COUNTERS.len()],
+    registry: Registry,
     // (failures, attempts) per popularity bucket for Fig 10.
     failure_bins: Vec<(u64, u64)>,
     // Precomputed Fig 10 bucket per file: every arrival and failure
@@ -442,18 +466,8 @@ pub struct XuanfengCloud<'a> {
     // side table (≲1 MB, L2-resident) replaces a `FileMeta` fetch from
     // the much larger catalog — one fewer DRAM miss per event.
     fig10_bin: Vec<u16>,
-    metrics: CloudMetrics,
-    hot: HotMetrics,
     // Per-task lifecycle tracing; None keeps the hot path one branch.
     lifecycle: Option<Lifecycle>,
-}
-
-/// Static label for the ISP admitting an upload flow.
-fn isp_label(isp: Option<Isp>) -> &'static str {
-    match isp {
-        Some(isp) => isp.lowercase_name(),
-        None => "none",
-    }
 }
 
 /// Static label for a pre-download failure cause (§5.2 taxonomy).
@@ -482,8 +496,8 @@ impl<'a> XuanfengCloud<'a> {
         let mut db = ContentDb::new(catalog);
         // The scenario picks the replacement policy; LRU is the paper's
         // pool. Preallocate for the catalog so warming never regrows.
-        // Warming runs on the bare policy, before the counters wrap it:
-        // warm-up evictions are setup, not part of the replayed week.
+        // Warm-up evictions are setup, not part of the replayed week, so
+        // the tally does not count them.
         let mut pool = cfg.cache.policy.build(cfg.scaled_cache_mb(), catalog.len());
         if cfg.cache_enabled {
             let mut warm_rng = rngs.stream("cloud-warm");
@@ -495,8 +509,7 @@ impl<'a> XuanfengCloud<'a> {
                 }
             }
         }
-        let pool = InstrumentedCache::new(pool, registry);
-        let backend = CloudWeekBackend::new(&cfg, rngs, registry);
+        let backend = CloudWeekBackend::new(&cfg, rngs);
         let horizon_secs = (odx_trace::WEEK + SimDuration::from_days(2)).as_secs_f64();
         let plan = FaultPlan::compile(&cfg.faults, &mut rngs.stream("faults"));
         XuanfengCloud {
@@ -521,7 +534,9 @@ impl<'a> XuanfengCloud<'a> {
             fetches: FetchLedger::new(population.users(), workload.len()),
             burden: BinnedSeries::new(horizon_secs, 300.0),
             burden_hot: BinnedSeries::new(horizon_secs, 300.0),
-            counters: Counters::default(),
+            tally: Tally::default(),
+            drained: [0; REGISTRY_COUNTERS.len()],
+            registry: registry.clone(),
             failure_bins: vec![(0, 0); FIG10_BINS],
             fig10_bin: catalog
                 .files()
@@ -531,8 +546,6 @@ impl<'a> XuanfengCloud<'a> {
                         as u16
                 })
                 .collect(),
-            metrics: CloudMetrics::new(registry),
-            hot: HotMetrics::default(),
             lifecycle: None,
         }
     }
@@ -637,15 +650,10 @@ impl<'a> XuanfengCloud<'a> {
         sim.run_merged(workload.requests(), |r| r.at, |i| Ev::Arrive(i as u32));
         let final_now_ms = sim.now().as_millis();
         let mut world = sim.into_world();
-        world.metrics.drain(&mut world.hot);
+        world.drain();
         let lifecycle = world.lifecycle.take().map(|lifecycle| lifecycle.report());
-        world.pool.finish(registry);
         let report = world.into_report();
-        registry.gauge("cloud.hit_ratio").set(report.hit_ratio());
-        registry.gauge("cloud.failure_ratio").set(report.failure_ratio());
-        registry.gauge("cloud.rejection_ratio").set(report.rejection_ratio());
-        registry.gauge("cloud.impeded_ratio").set(report.impeded_ratio());
-        // The final sample lands after every drain and gauge write, so
+        // The final sample lands after the last drain, so
         // each series ends exactly at its end-of-run snapshot value.
         if let Some(series) = &observers.series {
             series.finish(final_now_ms);
@@ -670,20 +678,52 @@ impl<'a> XuanfengCloud<'a> {
             fetches: self.fetches,
             burden_kbps: self.burden,
             burden_hot_kbps: self.burden_hot,
-            counters: self.counters,
+            counters: self.tally.counters(),
             failure_by_popularity,
         }
     }
 
+    /// Write everything the tally gained since the last drain into the
+    /// registry: counters as deltas, histograms as merges, and the ratio
+    /// and pool gauges as current values. Series grid points and the end
+    /// of the run call it, so sampled metrics are current mid-run and
+    /// the final sample equals the snapshot.
+    fn drain(&mut self) {
+        let registry = &self.registry;
+        let policy = self.pool.kind().name();
+        for ((name, fact), drained) in REGISTRY_COUNTERS.iter().zip(&mut self.drained) {
+            let value = fact(&self.tally);
+            registry.counter(&name.replace('*', policy)).add(value - *drained);
+            *drained = value;
+        }
+        let rates = std::mem::take(&mut self.tally.fetch_rate_kbps);
+        registry.histogram("cloud.fetch.rate_kbps").merge(&rates);
+        registry.histogram("backend.cloud.speed_kbps").merge(&rates);
+        registry
+            .histogram("cloud.predownload.delay_ms")
+            .merge(&std::mem::take(&mut self.tally.predownload_delay_ms));
+        let counters = self.tally.counters();
+        registry.gauge("cloud.hit_ratio").set(counters.hit_ratio());
+        registry.gauge("cloud.failure_ratio").set(counters.failure_ratio());
+        registry.gauge("cloud.rejection_ratio").set(counters.rejection_ratio());
+        registry.gauge("cloud.impeded_ratio").set(counters.impeded_ratio());
+        // The pool's hit ratio covers every replay on this registry.
+        registry.gauge(&format!("cache.{policy}.bytes_mb")).set(self.pool.used_mb());
+        let hits = registry.counter(&format!("cache.{policy}.hit")).get() as f64;
+        let misses = registry.counter(&format!("cache.{policy}.miss")).get() as f64;
+        let ratio = if hits + misses > 0.0 { hits / (hits + misses) } else { 0.0 };
+        registry.gauge(&format!("cache.{policy}.hit_ratio")).set(ratio);
+    }
+
     fn record_failure_stats(&mut self, file: u32, requests: u64, cause: FailureCause) {
-        self.counters.predownload_failures += requests;
         let slot = match cause {
             FailureCause::InsufficientSeeds => 0,
             FailureCause::PoorConnection => 1,
             FailureCause::SystemBug => 2,
         };
-        self.counters.failures_by_cause[slot] += requests;
-        self.hot.failures_by_cause[slot] += requests;
+        self.tally.failures_by_cause[slot] += requests;
+        // Everyone but the initiator joined.
+        self.tally.failed_joiners += requests - 1;
         self.failure_bins[self.fig10_bin[file as usize] as usize].0 += requests;
     }
 
@@ -719,8 +759,7 @@ impl<'a> XuanfengCloud<'a> {
         };
         match window.kind {
             FaultKind::CloudOutage => {
-                self.counters.fault_forced_failures += 1;
-                self.hot.fault_predownload_forced += 1;
+                self.tally.fault_forced += 1;
                 PredownloadOutcome::Failure {
                     cause: FailureCause::SystemBug,
                     duration: self.cfg.stagnation_timeout
@@ -730,8 +769,7 @@ impl<'a> XuanfengCloud<'a> {
             }
             FaultKind::CloudBrownout => match outcome {
                 PredownloadOutcome::Success { rate_kbps, duration, traffic_mb } => {
-                    self.counters.fault_slowed_predownloads += 1;
-                    self.hot.fault_predownload_slowed += 1;
+                    self.tally.fault_slowed += 1;
                     PredownloadOutcome::Success {
                         rate_kbps: rate_kbps * window.severity,
                         duration: SimDuration::from_secs_f64(
@@ -753,20 +791,10 @@ impl<'a> XuanfengCloud<'a> {
         let mut plan = self.backend.plan_fetch(user);
 
         let now = ctx.now();
-        if plan.rate_kbps > 0.0 {
-            if let Some(window) = self.plan.active(FaultDomain::Net, now.as_millis()) {
-                // User-visible rate only: the ISP pool reservation keeps
-                // the admission grant, so release stays consistent.
-                plan.rate_kbps *= window.severity;
-                self.counters.fault_degraded_fetches += 1;
-                self.hot.fault_fetch_degraded += 1;
-            }
-        }
-        if plan.rate_kbps <= 0.0 {
+        let Some(server_isp) = plan.admission.server_isp() else {
             // Rejected outright.
-            self.counters.rejected_fetches += 1;
-            self.counters.impeded_fetches += 1;
-            self.hot.fetch_impeded += 1;
+            self.tally.rejected += 1;
+            self.tally.impeded += 1;
             self.trace_instant(req, Stage::Admission, now, Some("reject"));
             self.trace_finish(req, TaskEnd::Rejected, now, Some("rejection"));
             self.fetches.push(req, request.user, now, now, 0.0, 0.0);
@@ -783,32 +811,38 @@ impl<'a> XuanfengCloud<'a> {
                 );
             }
             return;
+        };
+        if let Some(i) = server_isp.major_index() {
+            self.tally.admitted[i] += 1;
+        }
+        if plan.crossed_barrier {
+            self.tally.cross_isp += 1;
+        }
+        if let Some(window) = self.plan.active(FaultDomain::Net, now.as_millis()) {
+            // User-visible rate only: the ISP pool reservation keeps the
+            // admission grant, so release stays consistent.
+            plan.rate_kbps *= window.severity;
+            self.tally.fault_degraded += 1;
         }
 
         let acquired_mb = file.size_mb * plan.fetched_fraction;
         let secs = odx_net::transfer_secs(acquired_mb, plan.rate_kbps);
         if plan.rate_kbps < HD_THRESHOLD_KBPS {
-            self.counters.impeded_fetches += 1;
-            self.hot.fetch_impeded += 1;
+            self.tally.impeded += 1;
             if plan.crossed_barrier {
-                self.counters.impeded_barrier += 1;
+                self.tally.impeded_barrier += 1;
             } else if user.access_kbps < HD_THRESHOLD_KBPS {
-                self.counters.impeded_low_access += 1;
+                self.tally.impeded_low_access += 1;
             } else if plan.dynamics_degraded {
-                self.counters.impeded_dynamics += 1;
+                self.tally.impeded_dynamics += 1;
             }
         }
-        self.trace_instant(
-            req,
-            Stage::Admission,
-            now,
-            Some(isp_label(plan.admission.server_isp())),
-        );
+        self.trace_instant(req, Stage::Admission, now, Some(server_isp.lowercase_name()));
         ctx.schedule_in(
             SimDuration::from_secs_f64(secs),
             Ev::FetchEnd {
                 req,
-                server_isp: plan.admission.server_isp(),
+                server_isp,
                 reserved_kbps: plan.admission.rate_kbps(),
                 rate_kbps: plan.rate_kbps,
                 began: now,
@@ -831,27 +865,15 @@ impl World for XuanfengCloud<'_> {
         }
     }
 
-    /// Make every sampled metric current at a series grid point: drain
-    /// the hot-path batch into the registry (exact and idempotent — the
-    /// batch empties, so the end-of-run drain only adds the tail) and
-    /// refresh the headline ratio gauges with the same formulas the
-    /// final [`WeekReport`] uses, so mid-run samples show the ratios
-    /// evolving and the final sample matches the report exactly.
+    /// Make every sampled metric current at a series grid point, so
+    /// mid-run samples show the ratios evolving.
     fn pre_sample(&mut self, _at_ms: u64) {
-        self.metrics.drain(&mut self.hot);
-        let requests = self.counters.requests.max(1) as f64;
-        let attempts = self.fetches.len().max(1) as f64;
-        self.metrics.hit_ratio.set(self.counters.cache_hits as f64 / requests);
-        self.metrics.failure_ratio.set(self.counters.predownload_failures as f64 / requests);
-        self.metrics.rejection_ratio.set(self.counters.rejected_fetches as f64 / attempts);
-        self.metrics.impeded_ratio.set(self.counters.impeded_fetches as f64 / attempts);
+        self.drain();
     }
 
     fn handle(&mut self, ctx: &mut Ctx<Ev>, ev: Ev) {
         match ev {
             Ev::Arrive(req) => {
-                self.counters.requests += 1;
-                self.hot.requests += 1;
                 let request = &self.workload.requests()[req as usize];
                 let file_idx = request.file;
                 self.note_request(file_idx);
@@ -860,8 +882,7 @@ impl World for XuanfengCloud<'_> {
 
                 if self.pool.lookup(u64::from(file_idx), now.as_millis()).is_some() {
                     debug_assert!(self.db.state(file_idx).cached, "pool/DB flag drift");
-                    self.counters.cache_hits += 1;
-                    self.hot.cache_hit += 1;
+                    self.tally.pool_hits += 1;
                     self.predownloads.push_hit(now);
                     let think = self.think_after_hit();
                     self.trace_instant(req, Stage::CacheLookup, now, Some("hit"));
@@ -874,13 +895,11 @@ impl World for XuanfengCloud<'_> {
                     let tail = self.waiter_tail[file_idx as usize];
                     self.next_waiter[tail as usize] = req;
                     self.waiter_tail[file_idx as usize] = req;
-                    self.counters.cache_hits += 1;
-                    self.hot.cache_hit += 1;
-                    self.hot.dedup_joined += 1;
+                    self.tally.joined += 1;
                     self.trace_instant(req, Stage::CacheLookup, now, Some("miss"));
                     self.trace_instant(req, Stage::DedupLookup, now, Some("joined"));
                 } else {
-                    self.hot.cache_miss += 1;
+                    self.tally.initiated += 1;
                     self.trace_instant(req, Stage::CacheLookup, now, Some("miss"));
                     self.trace_instant(req, Stage::DedupLookup, now, Some("initiated"));
                     let outcome = self.predownload_with_faults(file_idx, now);
@@ -898,20 +917,21 @@ impl World for XuanfengCloud<'_> {
                 match outcome {
                     PredownloadOutcome::Success { rate_kbps, traffic_mb, .. } => {
                         let attempts = std::mem::take(&mut self.retry_attempts[file as usize]);
-                        self.hot.predownload_success += 1;
+                        self.tally.predownload_success += 1;
                         if self.cfg.cache_enabled {
                             self.db.state_mut(file).cached = true;
                             // The eviction list may include `file` itself if
                             // the policy refused admission; the flag loop
                             // handles both cases uniformly.
-                            for evicted in
-                                self.pool.insert(u64::from(file), meta.size_mb, now.as_millis())
-                            {
-                                self.db.state_mut(evicted as u32).cached = false;
+                            let evicted =
+                                self.pool.insert(u64::from(file), meta.size_mb, now.as_millis());
+                            self.tally.evictions += evicted.len() as u64;
+                            for key in evicted {
+                                self.db.state_mut(key as u32).cached = false;
                             }
                         }
-                        self.counters.predownload_traffic_mb += traffic_mb;
-                        self.counters.predownload_payload_mb += meta.size_mb;
+                        self.tally.predownload_traffic_mb += traffic_mb;
+                        self.tally.predownload_payload_mb += meta.size_mb;
                         self.predownloads.push_group(PredlGroup::success(
                             now,
                             meta.size_mb,
@@ -927,7 +947,7 @@ impl World for XuanfengCloud<'_> {
                             let peak_kbps = rate_kbps * self.backend.predl_peak_factor();
                             self.predownloads.push_waiter(arrived, i == 0, Some(peak_kbps));
                             let delay_ms = now.since(arrived).as_millis();
-                            self.hot.predownload_delay_ms.record(delay_ms);
+                            self.tally.predownload_delay_ms.record(delay_ms);
                             self.fetches.set_predownload_delay(req, delay_ms);
                             let think = self.think_after_predownload();
                             let detail = if i == 0 { "initiator" } else { "joined" };
@@ -940,41 +960,35 @@ impl World for XuanfengCloud<'_> {
                         if attempts > 0 {
                             // Every waiter on a retried file would have been
                             // failed under `retry.policy=none`.
-                            self.counters.retry_rescued += i as u64;
-                            self.hot.retry_rescued += i as u64;
+                            self.tally.retry_rescued += i as u64;
                         }
                     }
                     PredownloadOutcome::Failure { cause, traffic_mb, .. } => {
+                        // Failed attempts are abandoned by the stagnation
+                        // timeout rule, one firing per attempt. Each burns
+                        // its wasted traffic and a content-DB failed attempt
+                        // (so the shared retry decay applies to a
+                        // re-dispatch).
+                        self.tally.stagnations += 1;
+                        self.db.state_mut(file).failed_attempts += 1;
+                        self.tally.predownload_traffic_mb += traffic_mb;
                         // A granted backoff re-dispatches the pre-download
-                        // instead of failing the waiters. The attempt still
-                        // burns a stagnation timeout, its wasted traffic,
-                        // and a content-DB failed attempt (so the shared
-                        // retry decay applies to the re-dispatch), but no
-                        // failure records are cut and the waiter list stays
-                        // parked on the file.
+                        // instead of failing the waiters: no failure records
+                        // are cut and the waiter list stays parked on the
+                        // file.
                         let attempt = self.retry_attempts[file as usize];
                         if let Some(delay) =
                             self.retry_policy.backoff_delay(attempt, &mut self.rng_retry)
                         {
                             self.retry_attempts[file as usize] = attempt + 1;
-                            self.counters.retry_attempts += 1;
-                            self.hot.retry_attempt += 1;
-                            self.hot.predownload_stagnation += 1;
-                            self.db.state_mut(file).failed_attempts += 1;
-                            self.counters.predownload_traffic_mb += traffic_mb;
+                            self.tally.retry_attempts += 1;
                             ctx.schedule_in(delay, Ev::RetryPredl { file });
                             return;
                         }
                         if self.retry_policy.is_active() && attempt > 0 {
-                            self.counters.retry_exhausted += 1;
-                            self.hot.retry_exhausted += 1;
+                            self.tally.retry_exhausted += 1;
                             self.retry_attempts[file as usize] = 0;
                         }
-                        // Failed attempts are abandoned by the stagnation
-                        // timeout rule, one firing per attempt.
-                        self.hot.predownload_stagnation += 1;
-                        self.db.state_mut(file).failed_attempts += 1;
-                        self.counters.predownload_traffic_mb += traffic_mb;
                         self.predownloads.push_group(PredlGroup::failure(now, traffic_mb, cause));
                         let mut cursor = self.waiter_head[file as usize];
                         let mut n = 0u64;
@@ -994,9 +1008,6 @@ impl World for XuanfengCloud<'_> {
                             n += 1;
                         }
                         self.record_failure_stats(file, n, cause);
-                        // Joiners (everyone but the initiator) were
-                        // optimistically counted as hits on arrival.
-                        self.counters.cache_hits -= n - 1;
                     }
                 }
                 self.waiter_head[file as usize] = NO_WAITER;
@@ -1004,17 +1015,15 @@ impl World for XuanfengCloud<'_> {
             }
             Ev::FetchBegin { req } => self.begin_fetch(ctx, req),
             Ev::FetchEnd { req, server_isp, reserved_kbps, rate_kbps, began } => {
-                if let Some(isp) = server_isp {
-                    self.backend.release(isp, reserved_kbps);
-                }
+                self.backend.release(server_isp, reserved_kbps);
                 let now = ctx.now();
                 let request = &self.workload.requests()[req as usize];
-                let delay = now.since(began);
-                let acquired_mb = fetched_mb(rate_kbps, delay);
-                self.counters.completed_fetches += 1;
-                self.hot.fetch_completed += 1;
-                self.hot.fetch_rate_kbps.record_f64(rate_kbps);
-                self.backend.note_fetched(rate_kbps, acquired_mb);
+                let bytes = fetched_mb(rate_kbps, now.since(began)) * 1e6;
+                self.tally.completed += 1;
+                if bytes > 0.0 {
+                    self.tally.fetched_bytes += bytes.round() as u64;
+                }
+                self.tally.fetch_rate_kbps.record_f64(rate_kbps);
                 let peak_kbps = rate_kbps * self.backend.fetch_peak_factor();
                 self.fetches.push(req, request.user, began, now, rate_kbps, peak_kbps);
                 self.trace_span(req, Stage::Fetch, began, now, None);
@@ -1038,8 +1047,7 @@ impl World for XuanfengCloud<'_> {
                 // Observational only: active-window queries go through the
                 // plan, so the handler just counts and the event's label
                 // stamps the opening into the flight-recorder ring.
-                self.counters.fault_windows += 1;
-                self.hot.fault_window += 1;
+                self.tally.fault_windows += 1;
             }
             Ev::RetryPredl { file } => {
                 let now = ctx.now();
@@ -1315,6 +1323,67 @@ mod tests {
         assert_eq!(admitted + snap_a.counters["cloud.upload.reject"], report.fetches.len() as u64);
         // The sim hooks saw every scheduled event.
         assert!(snap_a.counters["sim.events"] >= report.counters.requests);
+    }
+
+    #[test]
+    fn derived_metric_names_obey_their_identities_under_faults_and_retries() {
+        let scale = 0.005;
+        let mut cfg = CloudConfig::at_scale(scale);
+        cfg.faults.intensity = 0.15;
+        cfg.retry.kind = odx_faults::RetryKind::Expo;
+        let registry = Registry::new();
+        let rngs = RngFactory::new(2015);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2015);
+        let catalog = Catalog::generate(&CatalogConfig::scaled(scale), &mut rng);
+        let population = Population::generate(&PopulationConfig::scaled(scale), &mut rng);
+        let workload =
+            Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
+        let (report, _) = XuanfengCloud::replay_observed(
+            &catalog,
+            &population,
+            &workload,
+            cfg,
+            &rngs,
+            &registry,
+            Observers::default(),
+        );
+        let snap = registry.snapshot();
+        let c = |name: &str| snap.counters[name];
+        assert!(c("cloud.fault.window") > 0 && c("cloud.retry.attempt") > 0);
+
+        // The pool's own counts: every dedup join missed the pool.
+        let pool = format!("cache.{}", cfg.cache.policy.name());
+        assert_eq!(c(&format!("{pool}.hit")), c("cloud.cache.hit") - c("cloud.dedup.joined"));
+        assert_eq!(c(&format!("{pool}.miss")), c("cloud.cache.miss") + c("cloud.dedup.joined"));
+        // The backend bundle restates the fetch outcomes.
+        let (completed, rejected) = (c("cloud.fetch.completed"), c("cloud.upload.reject"));
+        assert_eq!(c("backend.cloud.success"), completed);
+        assert_eq!(c("backend.cloud.failure"), rejected);
+        assert_eq!(c("backend.cloud.requests"), completed + rejected);
+        assert_eq!(
+            snap.histograms["backend.cloud.speed_kbps"],
+            snap.histograms["cloud.fetch.rate_kbps"]
+        );
+        let bytes: u64 = report
+            .fetches
+            .iter()
+            .filter(|f| !f.rejected)
+            .map(|f| f.acquired_mb * 1e6)
+            .filter(|b| *b > 0.0)
+            .map(|b| b.round() as u64)
+            .sum();
+        assert_eq!(c("backend.cloud.bytes"), bytes);
+        assert_eq!(rejected, report.counters.rejected_fetches);
+
+        // The deliberate disagreement: the report takes back the joiners
+        // of a failed pre-download, `cloud.cache.hit` keeps them. Every
+        // failed group but its initiator is a joiner, and each group
+        // ends in exactly one stagnation that was not retried.
+        let failed_rows = report.predownloads.iter().filter(|r| !r.success).count() as u64;
+        let failed_groups = c("cloud.predownload.stagnation") - c("cloud.retry.attempt");
+        let failed_joiners = failed_rows - failed_groups;
+        assert!(failed_joiners > 0);
+        assert_eq!(c("cloud.cache.hit") - report.counters.cache_hits, failed_joiners);
     }
 
     #[test]

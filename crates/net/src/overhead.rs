@@ -39,11 +39,6 @@ impl OverheadModel {
     pub fn p2p_factor(&self, rng: &mut dyn Rng) -> f64 {
         self.p2p_lo + (self.p2p_hi - self.p2p_lo) * u01(rng)
     }
-
-    /// Mean of the P2P factor (`1.96` by default, the paper's measurement).
-    pub fn p2p_mean(&self) -> f64 {
-        (self.p2p_lo + self.p2p_hi) / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -54,8 +49,10 @@ mod tests {
 
     #[test]
     fn p2p_mean_matches_xuanfeng_observation() {
-        // §4.1: overall P2P pre-downloading traffic = 196 % of file size.
-        assert!((OverheadModel::default().p2p_mean() - 1.96).abs() < 1e-9);
+        // §4.1: overall P2P pre-downloading traffic = 196 % of file size,
+        // the mean of the uniform P2P factor.
+        let m = OverheadModel::default();
+        assert!(((m.p2p_lo + m.p2p_hi) / 2.0 - 1.96).abs() < 1e-9);
     }
 
     #[test]
@@ -76,7 +73,7 @@ mod tests {
         // file size for an average P2P user: P2P factor minus the
         // cloud-fetch factor.
         let m = OverheadModel::default();
-        let saving = m.p2p_mean() - (m.http_lo + m.http_hi) / 2.0;
+        let saving = (m.p2p_lo + m.p2p_hi) / 2.0 - (m.http_lo + m.http_hi) / 2.0;
         assert!((0.86..=0.89).contains(&saving), "{saving}");
     }
 }

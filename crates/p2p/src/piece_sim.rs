@@ -153,14 +153,6 @@ pub struct PieceSimOutcome {
     pub trailing_stalled_rounds: usize,
 }
 
-impl PieceSimOutcome {
-    /// Total traffic (up + down) relative to the file size — the §4.1
-    /// overhead factor as seen by this peer.
-    pub fn traffic_factor(&self, file_kb: f64) -> f64 {
-        (self.downloaded_kb + self.uploaded_kb) / file_kb
-    }
-}
-
 struct Peer {
     have: PieceSet,
     is_seed: bool,
@@ -426,7 +418,9 @@ mod tests {
         let out = run(&cfg, 5);
         assert!(out.completed);
         let file_kb = cfg.pieces as f64 * cfg.piece_kb;
-        let factor = out.traffic_factor(file_kb);
+        // Total traffic (up + down) relative to the file size: the §4.1
+        // overhead factor as this peer sees it.
+        let factor = (out.downloaded_kb + out.uploaded_kb) / file_kb;
         // §4.1: P2P traffic is 150–250 % of the file size. The exact value
         // depends on swarm shape; the mechanism must at least force
         // meaningful upload.

@@ -45,8 +45,8 @@ pub trait World {
 
     /// Called by the engine at virtual time `at_ms` immediately before an
     /// attached [`SeriesRecorder`] takes a grid sample, and only then.
-    /// Worlds that batch metric updates in plain local fields (the
-    /// `HotMetrics` discipline) override this to drain them into the
+    /// Worlds that batch metric updates in plain local fields (as the
+    /// cloud replay's tally does) override this to drain them into the
     /// registry so sampled counters are current mid-run. The default
     /// no-op keeps unsampled worlds zero-cost.
     fn pre_sample(&mut self, _at_ms: u64) {}

@@ -4,7 +4,7 @@
 //! wall from end-to-end subtraction; this module measures it. A
 //! [`HandlerProfiler`] buckets `Instant`-deltas per event kind (the
 //! world's `event_label`) plus scheduler-pop cost, using the same cheap
-//! batched-flush discipline as the cloud world's `HotMetrics`: the hot
+//! batched-flush discipline as the cloud world's tally: the hot
 //! loop only adds into plain local fields — no atomics, no locks, no
 //! strings — and the totals flush into the registry's **wall** section
 //! once per run.
