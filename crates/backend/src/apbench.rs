@@ -114,15 +114,6 @@ impl ApBenchReport {
     pub fn max_speed_kbps(&self, ap: ApModel) -> f64 {
         self.records_for(ap).map(|r| r.rate_kbps).fold(0.0, f64::max)
     }
-
-    /// Fraction of successful transfers that were storage-limited.
-    pub fn storage_limited_fraction(&self) -> f64 {
-        let ok: Vec<_> = self.records.iter().filter(|r| r.success).collect();
-        if ok.is_empty() {
-            return 0.0;
-        }
-        ok.iter().filter(|r| r.storage_limited).count() as f64 / ok.len() as f64
-    }
 }
 
 /// The benchmark harness.
@@ -262,6 +253,12 @@ mod tests {
     /// The unfaulted §5.1 bench fleet.
     fn plain(sample: &[SampledRequest], seed: u64) -> ApBenchReport {
         replay(sample, &ApContext::bench_fleet(), &FaultsConfig::default(), seed)
+    }
+
+    /// Fraction of successful transfers that were storage-limited.
+    fn storage_limited_fraction(report: &ApBenchReport) -> f64 {
+        let ok = report.records().iter().filter(|r| r.success);
+        ok.clone().filter(|r| r.storage_limited).count() as f64 / ok.count().max(1) as f64
     }
 
     fn bench_sample(n: usize, seed: u64) -> Vec<SampledRequest> {
@@ -423,7 +420,7 @@ mod tests {
             plain.failure_ratio()
         );
         assert!(
-            faulted.storage_limited_fraction() > plain.storage_limited_fraction(),
+            storage_limited_fraction(&faulted) > storage_limited_fraction(&plain),
             "disk stalls should hit the storage wall more often"
         );
     }
@@ -444,7 +441,7 @@ mod tests {
             "USB-HDD/EXT4 should beat the stock NTFS flash drive"
         );
         assert!(
-            upgraded.storage_limited_fraction() <= stock.storage_limited_fraction(),
+            storage_limited_fraction(&upgraded) <= storage_limited_fraction(&stock),
             "upgraded fleet should hit the storage wall no more often"
         );
     }

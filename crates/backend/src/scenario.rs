@@ -190,8 +190,8 @@ impl Scenario {
     }
 
     /// The series sampling cadence in engine milliseconds (rounded,
-    /// clamped to at least 1 ms so a sub-millisecond spec value cannot
-    /// produce a zero-interval recorder).
+    /// clamped to at least 1 ms so a scenario built by hand, which skips
+    /// validation, cannot produce a zero-interval recorder).
     pub fn series_interval_ms(&self) -> u64 {
         (self.series_interval_s * 1000.0).round().max(1.0) as u64
     }
@@ -689,9 +689,11 @@ mod tests {
         spec.telemetry.series_interval_s = 60.0;
         let s = Scenario::from_spec(&spec).unwrap();
         assert_eq!(s.series_interval_ms(), 60_000);
-        // Sub-millisecond cadences clamp instead of panicking downstream.
+        // Sub-second cadences are rejected at load: a 1 ms grid is 604.8 M
+        // samples per simulated week.
         spec.telemetry.series_interval_s = 0.0001;
-        assert_eq!(Scenario::from_spec(&spec).unwrap().series_interval_ms(), 1);
+        let err = Scenario::from_spec(&spec).unwrap_err();
+        assert_eq!(err.path, "telemetry.series_interval_s");
     }
 
     #[test]

@@ -112,6 +112,7 @@ use odx::smartap::{table2, ApModel};
 use odx::stats::fit::{fit_se, fit_zipf, rank_frequency};
 use odx::stats::Ecdf;
 use odx::storage::{DeviceKind, FsKind};
+use odx::sweep::{run_sweep, SweepReport, SweepSpec};
 use odx::Study;
 use odx_bench::{mmmm, peak_rss_mb, rel, row};
 use odx_telemetry::{
@@ -728,12 +729,9 @@ fn fig8(report: &WeekReport, opts: &Options) {
     let pd = report.predownload_speed_ecdf();
     let fetch = report.fetch_speed_ecdf();
     let e2e = report.end_to_end_speed_ecdf();
-    println!(
-        "{}",
-        row("pre-downloading (misses)", "med 25 / mean 69", mmmm(&pd.summary().unwrap()))
-    );
-    println!("{}", row("fetching", "med 287 / mean 504", mmmm(&fetch.summary().unwrap())));
-    println!("{}", row("end-to-end", "med 233 / mean 380", mmmm(&e2e.summary().unwrap())));
+    println!("{}", row("pre-downloading (misses)", "med 25 / mean 69", mmmm(pd.summary())));
+    println!("{}", row("fetching", "med 287 / mean 504", mmmm(fetch.summary())));
+    println!("{}", row("end-to-end", "med 233 / mean 380", mmmm(e2e.summary())));
     dump_cdf(opts, "fig8_predownload_speed_cdf.tsv", &pd);
     dump_cdf(opts, "fig8_fetch_speed_cdf.tsv", &fetch);
     dump_cdf(opts, "fig8_end_to_end_speed_cdf.tsv", &e2e);
@@ -744,12 +742,9 @@ fn fig9(report: &WeekReport, opts: &Options) {
     let pd = report.predownload_delay_ecdf();
     let fetch = report.fetch_delay_ecdf();
     let e2e = report.end_to_end_delay_ecdf();
-    println!(
-        "{}",
-        row("pre-downloading (misses)", "med 82 / mean 370", mmmm(&pd.summary().unwrap()))
-    );
-    println!("{}", row("fetching", "med 7 / mean 27", mmmm(&fetch.summary().unwrap())));
-    println!("{}", row("end-to-end", "med 10 / mean 68", mmmm(&e2e.summary().unwrap())));
+    println!("{}", row("pre-downloading (misses)", "med 82 / mean 370", mmmm(pd.summary())));
+    println!("{}", row("fetching", "med 7 / mean 27", mmmm(fetch.summary())));
+    println!("{}", row("end-to-end", "med 10 / mean 68", mmmm(e2e.summary())));
     dump_cdf(opts, "fig9_predownload_delay_cdf.tsv", &pd);
     dump_cdf(opts, "fig9_fetch_delay_cdf.tsv", &fetch);
     dump_cdf(opts, "fig9_end_to_end_delay_cdf.tsv", &e2e);
@@ -1061,30 +1056,70 @@ fn resolve_scenarios(opts: &Options) -> Vec<Scenario> {
     out
 }
 
+/// Run `scenarios` × the `--seeds` seeds counting up from `--seed` on
+/// the sweep pool, at `--scale` on `--jobs` workers.
+fn run_grid(
+    opts: &Options,
+    scenarios: Vec<Scenario>,
+    trace: Option<TraceConfig>,
+    series_interval_ms: Option<u64>,
+) -> SweepReport {
+    run_sweep(&SweepSpec {
+        scenarios,
+        seeds: (0..opts.seeds as u64).map(|i| opts.seed + i).collect(),
+        scale: opts.scale,
+        jobs: opts.jobs,
+        trace,
+        series_interval_ms,
+        progress: opts.progress,
+    })
+}
+
+/// The grid commands' shared tail: the worker footer, the merged latency
+/// attribution of a traced grid, and under `--out DIR` the deterministic
+/// `<stem>.{json,csv}` snapshots (plus `attribution.json` when traced).
+fn grid_tail(opts: &Options, report: &SweepReport, stem: &str) {
+    println!(
+        "  {} cell(s) on {} worker(s) in {:.2}s — {:.0} events/sec aggregate",
+        report.cells.len(),
+        report.jobs,
+        report.wall_secs,
+        report.events_per_sec()
+    );
+    let attribution = report.attribution();
+    if let Some(attribution) = &attribution {
+        println!("  merged latency attribution across all cells:");
+        for line in attribution.waterfall().lines() {
+            println!("  {line}");
+        }
+    }
+    if let Some(dir) = out_dir(opts) {
+        let json_path = dir.join(format!("{stem}.json"));
+        let csv_path = dir.join(format!("{stem}.csv"));
+        check_write(&json_path, std::fs::write(&json_path, report.to_json()));
+        check_write(&csv_path, std::fs::write(&csv_path, report.to_csv()));
+        println!("  [deterministic snapshots → {} / {}]", json_path.display(), csv_path.display());
+        if let Some(attribution) = &attribution {
+            let attr_path = dir.join("attribution.json");
+            check_write(&attr_path, std::fs::write(&attr_path, attribution.to_json()));
+            println!("  [merged attribution → {}]", attr_path.display());
+        }
+    }
+}
+
 fn sweep_grid(opts: &Options) {
-    use odx::sweep::{run_sweep, SweepSpec};
     let scenarios = resolve_scenarios(opts);
-    let seeds: Vec<u64> = (0..opts.seeds as u64).map(|i| opts.seed + i).collect();
     section(&format!(
         "Sweep — {} scenario(s) × {} seed(s) at scale {} on {} worker(s)",
         scenarios.len(),
-        seeds.len(),
+        opts.seeds,
         opts.scale,
         opts.jobs
     ));
     // Sweeps stay untraced unless `--trace-sample N` opts in: tracing off
     // is the perf-neutral default for grid runs.
     let trace = (opts.trace_sample > 0).then(|| TraceConfig::sampled(opts.trace_sample));
-    let spec = SweepSpec {
-        scenarios,
-        seeds,
-        scale: opts.scale,
-        jobs: opts.jobs,
-        trace,
-        series_interval_ms: None,
-        progress: opts.progress,
-    };
-    let report = run_sweep(&spec);
+    let report = run_grid(opts, scenarios, trace, None);
     println!(
         "  {:<18} {:>6} {:>9} {:>6} {:>6} {:>8} {:>10}",
         "scenario", "seed", "requests", "hit%", "fail%", "impeded%", "events"
@@ -1101,31 +1136,7 @@ fn sweep_grid(opts: &Options) {
             c.sim_events
         );
     }
-    println!(
-        "  {} cell(s) on {} worker(s) in {:.2}s — {:.0} events/sec aggregate",
-        report.cells.len(),
-        report.jobs,
-        report.wall_secs,
-        report.events_per_sec()
-    );
-    if let Some(attribution) = report.attribution() {
-        println!("  merged latency attribution across all cells:");
-        for line in attribution.waterfall().lines() {
-            println!("  {line}");
-        }
-    }
-    if let Some(dir) = out_dir(opts) {
-        let json_path = dir.join("sweep.json");
-        let csv_path = dir.join("sweep.csv");
-        check_write(&json_path, std::fs::write(&json_path, report.to_json()));
-        check_write(&csv_path, std::fs::write(&csv_path, report.to_csv()));
-        println!("  [deterministic snapshots → {} / {}]", json_path.display(), csv_path.display());
-        if let Some(attribution) = report.attribution() {
-            let attr_path = dir.join("attribution.json");
-            check_write(&attr_path, std::fs::write(&attr_path, attribution.to_json()));
-            println!("  [merged attribution → {}]", attr_path.display());
-        }
-    }
+    grid_tail(opts, &report, "sweep");
 }
 
 /// `cache-compare`: sweep every replacement policy (or just `--policy`)
@@ -1135,33 +1146,23 @@ fn sweep_grid(opts: &Options) {
 /// spec order, so the table and the `--out` snapshots are byte-identical
 /// for any `--jobs`.
 fn cache_compare(opts: &Options) {
-    use odx::sweep::{policy_variants, run_sweep, SweepSpec};
+    use odx::sweep::policy_variants;
     let scenarios = resolve_scenarios(opts);
     let policies: Vec<PolicyKind> = match opts.policy {
         Some(p) => vec![p],
         None => PolicyKind::ALL.to_vec(),
     };
     let variants = policy_variants(&scenarios, &policies);
-    let seeds: Vec<u64> = (0..opts.seeds as u64).map(|i| opts.seed + i).collect();
     section(&format!(
         "Cache compare — {} scenario(s) × {} polic{} × {} seed(s) at scale {} on {} worker(s)",
         scenarios.len(),
         policies.len(),
         if policies.len() == 1 { "y" } else { "ies" },
-        seeds.len(),
+        opts.seeds,
         opts.scale,
         opts.jobs
     ));
-    let spec = SweepSpec {
-        scenarios: variants.clone(),
-        seeds,
-        scale: opts.scale,
-        jobs: opts.jobs,
-        trace: None,
-        series_interval_ms: None,
-        progress: opts.progress,
-    };
-    let report = run_sweep(&spec);
+    let report = run_grid(opts, variants.clone(), None, None);
     println!(
         "  {:<28} {:>6} {:>9} {:>6} {:>6} {:>9} {:>10}",
         "scenario/policy", "seed", "requests", "hit%", "fail%", "misses", "events"
@@ -1196,20 +1197,7 @@ fn cache_compare(opts: &Options) {
             fail - 8.7
         );
     }
-    println!(
-        "  {} cell(s) on {} worker(s) in {:.2}s — {:.0} events/sec aggregate",
-        report.cells.len(),
-        report.jobs,
-        report.wall_secs,
-        report.events_per_sec()
-    );
-    if let Some(dir) = out_dir(opts) {
-        let json_path = dir.join("cache_compare.json");
-        let csv_path = dir.join("cache_compare.csv");
-        check_write(&json_path, std::fs::write(&json_path, report.to_json()));
-        check_write(&csv_path, std::fs::write(&csv_path, report.to_csv()));
-        println!("  [deterministic snapshots → {} / {}]", json_path.display(), csv_path.display());
-    }
+    grid_tail(opts, &report, "cache_compare");
 }
 
 /// `resilience`: sweep a fault-intensity × retry-policy grid over the
@@ -1223,7 +1211,7 @@ fn cache_compare(opts: &Options) {
 /// any `--jobs` value.
 fn resilience_cmd(opts: &Options) {
     use odx::faults::RetryKind;
-    use odx::sweep::{resilience_variants, run_sweep, SweepSpec};
+    use odx::sweep::resilience_variants;
     let scenarios = resolve_scenarios(opts);
     let intensities = [0.0, 0.1, 0.25];
     let policies: Vec<RetryKind> = match opts.retry_policy {
@@ -1232,7 +1220,6 @@ fn resilience_cmd(opts: &Options) {
         None => RetryKind::ALL.to_vec(),
     };
     let variants = resilience_variants(&scenarios, &intensities, &policies);
-    let seeds: Vec<u64> = (0..opts.seeds as u64).map(|i| opts.seed + i).collect();
     section(&format!(
         "Resilience — {} scenario(s) × {} intensit{} × {} polic{} × {} seed(s) at scale {} on {} worker(s)",
         scenarios.len(),
@@ -1240,20 +1227,11 @@ fn resilience_cmd(opts: &Options) {
         if intensities.len() == 1 { "y" } else { "ies" },
         policies.len(),
         if policies.len() == 1 { "y" } else { "ies" },
-        seeds.len(),
+        opts.seeds,
         opts.scale,
         opts.jobs
     ));
-    let spec = SweepSpec {
-        scenarios: variants.clone(),
-        seeds,
-        scale: opts.scale,
-        jobs: opts.jobs,
-        trace: None,
-        series_interval_ms: None,
-        progress: opts.progress,
-    };
-    let report = run_sweep(&spec);
+    let report = run_grid(opts, variants.clone(), None, None);
     // Baseline lookup: the scenario's own zero-fault, no-retry cell at
     // the same seed (always in the grid — intensity 0 and `none` are).
     let baseline = |scenario: &str, seed: u64| {
@@ -1307,20 +1285,7 @@ fn resilience_cmd(opts: &Options) {
             good - bgood
         );
     }
-    println!(
-        "  {} cell(s) on {} worker(s) in {:.2}s — {:.0} events/sec aggregate",
-        report.cells.len(),
-        report.jobs,
-        report.wall_secs,
-        report.events_per_sec()
-    );
-    if let Some(dir) = out_dir(opts) {
-        let json_path = dir.join("resilience.json");
-        let csv_path = dir.join("resilience.csv");
-        check_write(&json_path, std::fs::write(&json_path, report.to_json()));
-        check_write(&csv_path, std::fs::write(&csv_path, report.to_csv()));
-        println!("  [deterministic snapshots → {} / {}]", json_path.display(), csv_path.display());
-    }
+    grid_tail(opts, &report, "resilience");
 }
 
 /// `series`: replay the selected scenario(s) × seeds on the sweep pool
@@ -1332,25 +1297,14 @@ fn resilience_cmd(opts: &Options) {
 /// series.csv` names the CSV (sibling `.json` alongside); `--out DIR`
 /// writes `DIR/series.{csv,json}`; the default is `./series.{csv,json}`.
 fn series_cmd(opts: &Options) {
-    use odx::sweep::{run_sweep, SweepSpec};
     let scenarios = resolve_scenarios(opts);
-    let seeds: Vec<u64> = (0..opts.seeds as u64).map(|i| opts.seed + i).collect();
     let interval_ms = opts.scenario.series_interval_ms();
     section(&format!(
         "Series — virtual-time metrics every {interval_ms} ms over {} scenario(s) × {} seed(s)",
         scenarios.len(),
-        seeds.len()
+        opts.seeds
     ));
-    let spec = SweepSpec {
-        scenarios,
-        seeds,
-        scale: opts.scale,
-        jobs: opts.jobs,
-        trace: None,
-        series_interval_ms: Some(interval_ms),
-        progress: opts.progress,
-    };
-    let report = run_sweep(&spec);
+    let report = run_grid(opts, scenarios, None, Some(interval_ms));
     let set = report.series().expect("series recording was enabled");
     for ((scenario, seed), snapshot) in &set.cells {
         println!(
@@ -1404,7 +1358,7 @@ fn profile_cmd(opts: &Options) {
 fn fig13(report: &odx::backend::ApBenchReport, opts: &Options) {
     section("Fig 13 — smart AP pre-downloading speed CDF (KBps)");
     let ecdf = report.speed_ecdf();
-    println!("{}", row("all APs", "med 27 / mean 64", mmmm(&ecdf.summary().unwrap())));
+    println!("{}", row("all APs", "med 27 / mean 64", mmmm(ecdf.summary())));
     for ap in ApModel::ALL {
         let paper = if ap == ApModel::Newifi { "930" } else { "2370" };
         println!(
@@ -1418,7 +1372,7 @@ fn fig13(report: &odx::backend::ApBenchReport, opts: &Options) {
 fn fig14(report: &odx::backend::ApBenchReport, opts: &Options) {
     section("Fig 14 — smart AP pre-downloading delay CDF (minutes)");
     let ecdf = report.delay_ecdf();
-    println!("{}", row("all APs", "med 77 / mean 402", mmmm(&ecdf.summary().unwrap())));
+    println!("{}", row("all APs", "med 77 / mean 402", mmmm(ecdf.summary())));
     dump_cdf(opts, "fig14_ap_delay_cdf.tsv", &ecdf);
 }
 
@@ -1644,10 +1598,7 @@ fn fig16(cloud: Option<&WeekReport>, eval: &OdrEvalReport, scale: f64) {
 fn fig17(eval: &OdrEvalReport, opts: &Options) {
     section("Fig 17 — fetching speeds using ODR (KBps)");
     let ecdf = eval.fetch_speed_ecdf();
-    println!(
-        "{}",
-        row("ODR fetches", "med 368 / mean 509 / max 2370", mmmm(&ecdf.summary().unwrap()))
-    );
+    println!("{}", row("ODR fetches", "med 368 / mean 509 / max 2370", mmmm(ecdf.summary())));
     dump_cdf(opts, "fig17_odr_fetch_speed_cdf.tsv", &ecdf);
 }
 

@@ -17,9 +17,13 @@ pub fn row(label: &str, paper: &str, measured: String) -> String {
     format!("  {label:<42} paper: {paper:<18} measured: {measured}")
 }
 
-/// Compact `min/median/mean/max` rendering of a summary.
-pub fn mmmm(s: &Summary) -> String {
-    format!("min {:.0} / med {:.0} / mean {:.0} / max {:.0}", s.min, s.median, s.mean, s.max)
+/// Compact `min/median/mean/max` rendering of a summary; empty for an
+/// empty sample (a tiny `--scale` can leave a figure's CDF with no points).
+pub fn mmmm(s: Option<Summary>) -> String {
+    s.map(|s| {
+        format!("min {:.0} / med {:.0} / mean {:.0} / max {:.0}", s.min, s.median, s.mean, s.max)
+    })
+    .unwrap_or_default()
 }
 
 /// Relative difference as a signed percentage string.

@@ -50,6 +50,14 @@ fn bad_set_path_and_value_exit_2_with_field_paths() {
     assert!(err.contains("`demand_factor`"), "{err}");
     assert!(err.contains("must be > 0"), "{err}");
 
+    // Rejected at load, whatever the command: a 1 ms series grid grows
+    // without bound over a simulated week.
+    let out = repro(&["headline", "--scale", "1e-5", "--set", "telemetry.series_interval_s=0.001"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("`telemetry.series_interval_s`"), "{err}");
+    assert!(err.contains("must be >= 1"), "{err}");
+
     let out = repro(&["headline", "--set", "no-equals-sign"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--set needs dotted.path=value"));
@@ -233,4 +241,63 @@ fn unreadable_check_trace_input_exits_2_naming_the_file() {
     let err = stderr(&out);
     assert!(err.contains("repro: cannot read /nonexistent/t.json: "), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn every_figure_command_survives_a_tiny_scale() {
+    // At scale 1e-5 the week has a handful of tasks, so some of a figure's
+    // CDFs are empty; the row prints an empty measurement instead of
+    // panicking.
+    let dir = std::env::temp_dir().join(format!("repro-cli-tiny-{}", std::process::id()));
+    let commands = [
+        "table1",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig10",
+        "fig11",
+        "headline",
+        "fig13",
+        "fig14",
+        "table2",
+        "fig15",
+        "fig16",
+        "fig17",
+        "ablate-cache",
+        "ablate-privileged",
+        "ablate-storage",
+        "ablate-dedup",
+        "ablate-ledbat",
+        "ablate-concurrency",
+        "sweep-userbase",
+        "sweep-cache",
+        "export-traces",
+        "attribute",
+    ];
+    for cmd in commands {
+        let out = repro(&[cmd, "--scale", "1e-5", "--sample", "1", "--out", dir.to_str().unwrap()]);
+        let (code, err) = (out.status.code(), stderr(&out));
+        assert!(matches!(code, Some(0 | 2)), "`repro {cmd}` exited {code:?}: {err}");
+        assert!(!err.contains("panicked"), "`repro {cmd}`: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn repro_all_stdout_matches_the_golden() {
+    // Everything but the wall-clock `perf:` line is a pure function of
+    // (scenario, scale, seed, sample).
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/repro_all_s2015_scale0005.txt");
+    let golden = std::fs::read_to_string(golden).expect("read golden");
+    let out = repro(&["all", "--scale", "0.005"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text: String = stdout(&out)
+        .lines()
+        .filter(|line| !line.starts_with("  perf: "))
+        .flat_map(|line| [line, "\n"])
+        .collect();
+    assert_eq!(text, golden, "`repro all --scale 0.005` stdout drifted from the golden");
 }

@@ -13,8 +13,6 @@
 //!   with the production 1-hour stagnation timeout.
 //! * [`dedup`] — the chunk-level-dedup estimator behind §2.1's design
 //!   choice (file-level MD5 dedup; chunking saves < 1 %).
-//! * [`streaming`] — view-as-download buffer dynamics: where the 125 KBps
-//!   "impeded fetch" threshold comes from.
 //! * [`UploadPool`] — per-ISP uploading servers (30 Gbps aggregate),
 //!   privileged-path selection, and admission control that *rejects* new
 //!   fetches rather than degrade active ones.
@@ -33,7 +31,6 @@ pub mod dedup;
 mod fetch;
 mod ledger;
 mod predownload;
-pub mod streaming;
 mod system;
 mod upload;
 

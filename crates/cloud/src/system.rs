@@ -326,76 +326,52 @@ impl Tally {
 /// Reads one count off the tally.
 type Fact = fn(&Tally) -> u64;
 
-/// Every registry counter the replay writes, with the tally fact it
-/// reads (`*` stands for the cache policy's name). Several names restate
-/// others: the pool's own hits are `cloud.cache.hit` less the dedup
-/// joins, and `backend.cloud.*` restates the fetch outcomes.
-const REGISTRY_COUNTERS: [(&str, Fact); 31] = [
-    ("cloud.requests", Tally::requests),
-    ("cloud.cache.hit", |t| t.pool_hits + t.joined),
-    ("cloud.cache.miss", |t| t.initiated),
-    ("cloud.dedup.joined", |t| t.joined),
-    ("cloud.predownload.success", |t| t.predownload_success),
-    ("cloud.predownload.stagnation", |t| t.stagnations),
-    ("cloud.predownload.fail.seeds", |t| t.failures_by_cause[0]),
-    ("cloud.predownload.fail.connection", |t| t.failures_by_cause[1]),
-    ("cloud.predownload.fail.bug", |t| t.failures_by_cause[2]),
-    ("cloud.fetch.completed", |t| t.completed),
-    ("cloud.fetch.impeded", |t| t.impeded),
-    ("cloud.fault.window", |t| t.fault_windows),
-    ("cloud.fault.predownload.forced", |t| t.fault_forced),
-    ("cloud.fault.predownload.slowed", |t| t.fault_slowed),
-    ("cloud.fault.fetch.degraded", |t| t.fault_degraded),
-    ("cloud.retry.attempt", |t| t.retry_attempts),
-    ("cloud.retry.rescued", |t| t.retry_rescued),
-    ("cloud.retry.exhausted", |t| t.retry_exhausted),
-    ("cloud.upload.admit.unicom", |t| t.admitted[0]),
-    ("cloud.upload.admit.telecom", |t| t.admitted[1]),
-    ("cloud.upload.admit.mobile", |t| t.admitted[2]),
-    ("cloud.upload.admit.cernet", |t| t.admitted[3]),
-    ("cloud.upload.cross_isp", |t| t.cross_isp),
-    ("cloud.upload.reject", |t| t.rejected),
-    ("backend.cloud.requests", |t| t.completed + t.rejected),
-    ("backend.cloud.success", |t| t.completed),
-    ("backend.cloud.failure", |t| t.rejected),
-    ("backend.cloud.bytes", |t| t.fetched_bytes),
-    ("cache.*.hit", |t| t.pool_hits),
-    ("cache.*.miss", |t| t.joined + t.initiated),
-    ("cache.*.eviction", |t| t.evictions),
+/// Every registry counter the replay writes, with whether the series
+/// recorder samples it and the tally fact it reads (`*` stands for the
+/// cache policy's name). Several names restate others: the pool's own
+/// hits are `cloud.cache.hit` less the dedup joins, and `backend.cloud.*`
+/// restates the fetch outcomes.
+const REGISTRY_COUNTERS: [(&str, bool, Fact); 31] = [
+    ("cloud.requests", true, Tally::requests),
+    ("cloud.cache.hit", true, |t| t.pool_hits + t.joined),
+    ("cloud.cache.miss", true, |t| t.initiated),
+    ("cloud.dedup.joined", true, |t| t.joined),
+    ("cloud.predownload.success", true, |t| t.predownload_success),
+    ("cloud.predownload.stagnation", true, |t| t.stagnations),
+    ("cloud.predownload.fail.seeds", true, |t| t.failures_by_cause[0]),
+    ("cloud.predownload.fail.connection", true, |t| t.failures_by_cause[1]),
+    ("cloud.predownload.fail.bug", true, |t| t.failures_by_cause[2]),
+    ("cloud.fetch.completed", true, |t| t.completed),
+    ("cloud.fetch.impeded", true, |t| t.impeded),
+    ("cloud.fault.window", true, |t| t.fault_windows),
+    ("cloud.fault.predownload.forced", true, |t| t.fault_forced),
+    ("cloud.fault.predownload.slowed", true, |t| t.fault_slowed),
+    ("cloud.fault.fetch.degraded", true, |t| t.fault_degraded),
+    ("cloud.retry.attempt", true, |t| t.retry_attempts),
+    ("cloud.retry.rescued", true, |t| t.retry_rescued),
+    ("cloud.retry.exhausted", true, |t| t.retry_exhausted),
+    ("cloud.upload.admit.unicom", true, |t| t.admitted[0]),
+    ("cloud.upload.admit.telecom", true, |t| t.admitted[1]),
+    ("cloud.upload.admit.mobile", true, |t| t.admitted[2]),
+    ("cloud.upload.admit.cernet", true, |t| t.admitted[3]),
+    ("cloud.upload.cross_isp", false, |t| t.cross_isp),
+    ("cloud.upload.reject", true, |t| t.rejected),
+    ("backend.cloud.requests", false, |t| t.completed + t.rejected),
+    ("backend.cloud.success", false, |t| t.completed),
+    ("backend.cloud.failure", false, |t| t.rejected),
+    ("backend.cloud.bytes", false, |t| t.fetched_bytes),
+    ("cache.*.hit", false, |t| t.pool_hits),
+    ("cache.*.miss", false, |t| t.joined + t.initiated),
+    ("cache.*.eviction", false, |t| t.evictions),
 ];
 
 /// Register the cloud replay's headline metrics on a series recorder:
-/// engine throughput, the request/cache/pre-download/fetch counters, the
-/// per-ISP upload admissions (the paper's per-ISP weekly curves), the
+/// engine throughput, the sampled `REGISTRY_COUNTERS` rows (among them
+/// the per-ISP upload admissions, the paper's per-ISP weekly curves), the
 /// headline ratio gauges, and the median fetch rate.
 fn register_cloud_series(series: &SeriesRecorder, registry: &Registry) {
-    const COUNTERS: [&str; 24] = [
-        "sim.events",
-        "cloud.requests",
-        "cloud.cache.hit",
-        "cloud.cache.miss",
-        "cloud.dedup.joined",
-        "cloud.predownload.success",
-        "cloud.predownload.stagnation",
-        "cloud.predownload.fail.seeds",
-        "cloud.predownload.fail.connection",
-        "cloud.predownload.fail.bug",
-        "cloud.fetch.completed",
-        "cloud.fetch.impeded",
-        "cloud.fault.window",
-        "cloud.fault.predownload.forced",
-        "cloud.fault.predownload.slowed",
-        "cloud.fault.fetch.degraded",
-        "cloud.retry.attempt",
-        "cloud.retry.rescued",
-        "cloud.retry.exhausted",
-        "cloud.upload.admit.unicom",
-        "cloud.upload.admit.telecom",
-        "cloud.upload.admit.mobile",
-        "cloud.upload.admit.cernet",
-        "cloud.upload.reject",
-    ];
-    for name in COUNTERS {
+    let sampled = REGISTRY_COUNTERS.iter().filter(|(_, sampled, _)| *sampled);
+    for name in std::iter::once("sim.events").chain(sampled.map(|(name, _, _)| *name)) {
         series.track_counter(name, registry.counter(name));
     }
     const GAUGES: [&str; 5] = [
@@ -691,7 +667,7 @@ impl<'a> XuanfengCloud<'a> {
     fn drain(&mut self) {
         let registry = &self.registry;
         let policy = self.pool.kind().name();
-        for ((name, fact), drained) in REGISTRY_COUNTERS.iter().zip(&mut self.drained) {
+        for ((name, _, fact), drained) in REGISTRY_COUNTERS.iter().zip(&mut self.drained) {
             let value = fact(&self.tally);
             registry.counter(&name.replace('*', policy)).add(value - *drained);
             *drained = value;

@@ -52,7 +52,7 @@ pub struct CacheSpec {
 /// Observability-layer knobs (the virtual-time series recorder).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySpec {
-    /// Virtual seconds between metric-series samples, `> 0`. The default
+    /// Virtual seconds between metric-series samples, `>= 1`. The default
     /// (one sim-hour) matches the diurnal granularity of the paper's
     /// figures; `--set telemetry.series_interval_s=60` zooms in.
     pub series_interval_s: f64,
@@ -372,7 +372,15 @@ impl ScenarioSpec {
         check_positive("backend.line_payload_kbps", b.line_payload_kbps)?;
         check_positive("cache_capacity_factor", self.cache_capacity_factor)?;
         check_positive("demand_factor", self.demand_factor)?;
-        check_positive("telemetry.series_interval_s", self.telemetry.series_interval_s)?;
+        // One sample per simulated second is already 604,800 per week; a
+        // finer grid only grows the series without bound.
+        let interval = self.telemetry.series_interval_s;
+        if !interval.is_finite() || interval < 1.0 {
+            return Err(ConfigError::at(
+                "telemetry.series_interval_s",
+                format!("must be >= 1 (one simulated second) and finite (got {interval})"),
+            ));
+        }
         check_range("faults.intensity", self.faults.intensity, 0.0..=1.0)?;
         check_positive("faults.window_s", self.faults.window_s)?;
         check_unit_interval_open_low("faults.net_slowdown", self.faults.net_slowdown)?;
@@ -682,6 +690,8 @@ mod tests {
             ("backend.dynamics_probability", 1.2),
             ("telemetry.series_interval_s", 0.0),
             ("telemetry.series_interval_s", -60.0),
+            ("telemetry.series_interval_s", 0.5),
+            ("telemetry.series_interval_s", 0.0001),
             ("faults.intensity", 1.5),
             ("faults.intensity", -0.1),
             ("faults.window_s", 0.0),

@@ -101,12 +101,6 @@ impl FaultKind {
             FaultKind::ApPowerCycle => "fault:ap-power-cycle",
         }
     }
-
-    /// Whether this is the domain's severe variant (partition / outage /
-    /// power cycle) as opposed to its degraded-service variant.
-    pub fn is_severe(self) -> bool {
-        matches!(self, FaultKind::NetPartition | FaultKind::CloudOutage | FaultKind::ApPowerCycle)
-    }
 }
 
 /// One timed fault window: `[start_ms, end_ms)` on the virtual clock.
@@ -447,7 +441,11 @@ mod tests {
         let plan = FaultPlan::compile(&active_cfg(0.4), &mut RngFactory::new(9).stream("faults"));
         for domain in FaultDomain::ALL {
             for w in plan.windows(domain) {
-                if w.kind.is_severe() {
+                // The severe variants: partition, outage and power cycle.
+                if matches!(
+                    w.kind,
+                    FaultKind::NetPartition | FaultKind::CloudOutage | FaultKind::ApPowerCycle
+                ) {
                     assert!(w.kind == FaultKind::NetPartition || w.severity == 0.0);
                 } else {
                     assert!(w.severity > 0.0 && w.severity <= 1.0, "{w:?}");

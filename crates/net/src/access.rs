@@ -3,8 +3,6 @@
 use odx_stats::dist::{Dist, LogNormal};
 use rand::Rng;
 
-use crate::HD_THRESHOLD_KBPS;
-
 /// Per-user access (download) bandwidth model.
 ///
 /// The paper doesn't publish the raw access-bandwidth distribution, but pins
@@ -51,11 +49,6 @@ impl AccessModel {
         self.dist.sample(rng).clamp(self.min_kbps, self.max_kbps)
     }
 
-    /// Analytic probability of being below the HD threshold.
-    pub fn below_hd_probability(&self) -> f64 {
-        self.dist.cdf(HD_THRESHOLD_KBPS)
-    }
-
     /// The model's median (KBps).
     pub fn median(&self) -> f64 {
         self.dist.median()
@@ -65,6 +58,7 @@ impl AccessModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HD_THRESHOLD_KBPS;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -72,7 +66,8 @@ mod tests {
     fn below_hd_fraction_matches_paper() {
         let m = AccessModel::default();
         // §4.2: 10.8 % of fetches limited by access bandwidth < 125 KBps.
-        assert!((m.below_hd_probability() - 0.108).abs() < 0.01, "{}", m.below_hd_probability());
+        let analytic = m.dist.cdf(HD_THRESHOLD_KBPS);
+        assert!((analytic - 0.108).abs() < 0.01, "{analytic}");
         let mut rng = StdRng::seed_from_u64(21);
         let n = 200_000;
         let below =

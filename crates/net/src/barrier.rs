@@ -38,11 +38,6 @@ impl BarrierModel {
     pub fn sample(&self, rng: &mut dyn Rng) -> f64 {
         self.dist.sample(rng).min(self.max_kbps)
     }
-
-    /// Analytic probability a barrier-crossing path stays under `kbps`.
-    pub fn below_probability(&self, kbps: f64) -> f64 {
-        self.dist.cdf(kbps)
-    }
 }
 
 #[cfg(test)]
@@ -56,11 +51,8 @@ mod tests {
     fn barrier_paths_mostly_below_hd_threshold() {
         let m = BarrierModel::default();
         // §4.2 counts the entire barrier-crossing population as impeded.
-        assert!(
-            m.below_probability(HD_THRESHOLD_KBPS) > 0.80,
-            "{}",
-            m.below_probability(HD_THRESHOLD_KBPS)
-        );
+        let analytic = m.dist.cdf(HD_THRESHOLD_KBPS);
+        assert!(analytic > 0.80, "{analytic}");
         let mut rng = StdRng::seed_from_u64(24);
         let below = (0..100_000).filter(|_| m.sample(&mut rng) < HD_THRESHOLD_KBPS).count() as f64
             / 100_000.0;

@@ -9,11 +9,9 @@
 //! commercial networks).
 
 use crate::Isp;
-use odx_stats::dist::{u01, Dist, LogNormal};
-use rand::Rng;
 
 /// Baseline RTT in milliseconds between a user in `from` and a server in
-/// `to` (medians; jitter comes from [`rtt_ms`]).
+/// `to` (medians).
 pub fn base_rtt_ms(from: Isp, to: Isp) -> f64 {
     use Isp::*;
     match (from, to) {
@@ -33,12 +31,6 @@ pub fn base_rtt_ms(from: Isp, to: Isp) -> f64 {
     }
 }
 
-/// One sampled RTT (ms): the base value with log-normal jitter.
-pub fn rtt_ms(from: Isp, to: Isp, rng: &mut dyn Rng) -> f64 {
-    let jitter = LogNormal::from_median(1.0, 0.25).sample(rng);
-    base_rtt_ms(from, to) * jitter * (1.0 + 0.1 * u01(rng))
-}
-
 /// The alternative-server choice rule of §2.1: among candidate server ISPs,
 /// pick the one with the lowest base RTT from the user (ties broken by
 /// enumeration order).
@@ -53,8 +45,6 @@ pub fn nearest_major(from: Isp, candidates: &[Isp]) -> Option<Isp> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn same_isp_is_fastest() {
@@ -80,15 +70,6 @@ mod tests {
     #[test]
     fn cernet_crossings_are_the_worst() {
         assert!(base_rtt_ms(Isp::Cernet, Isp::Telecom) > base_rtt_ms(Isp::Unicom, Isp::Telecom));
-    }
-
-    #[test]
-    fn sampled_rtt_is_positive_with_bounded_jitter() {
-        let mut rng = StdRng::seed_from_u64(200);
-        for _ in 0..2000 {
-            let rtt = rtt_ms(Isp::Other, Isp::Telecom, &mut rng);
-            assert!(rtt > 30.0 && rtt < 400.0, "{rtt}");
-        }
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //!   small fraction of either endpoint's capacity. This causes 9.6 % of
 //!   impeded fetches (users outside the four major ISPs).
 //!
-//! [`Path`] composes these into per-transfer throughput, and the max–min
-//! fluid solver from `odx-sim` covers flows that share links (LAN fetches,
-//! upload-server pools).
+//! The max–min fluid solver from `odx-sim` covers flows that share links
+//! (LAN fetches, upload-server pools).
 //!
 //! ## Units
 //!
@@ -30,13 +29,11 @@ mod barrier;
 mod isp;
 pub mod latency;
 mod overhead;
-mod path;
 
 pub use access::AccessModel;
 pub use barrier::BarrierModel;
 pub use isp::{Isp, IspMix};
 pub use overhead::OverheadModel;
-pub use path::{Path, Segment};
 
 /// 1 Mbps expressed in KBps — the HD-video playback threshold (§4.2).
 pub const HD_THRESHOLD_KBPS: f64 = 125.0;
@@ -55,11 +52,6 @@ pub const ADSL_LINK_KBPS: f64 = 2500.0;
 /// rate less framing/TCP overhead). Every per-download rate cap in the
 /// workspace derives from this single constant.
 pub const ADSL_PAYLOAD_KBPS: f64 = 2370.0;
-
-/// Convert Mbps (megabits/s) to KBps (kilobytes/s).
-pub fn mbps_to_kbps(mbps: f64) -> f64 {
-    mbps * 125.0
-}
 
 /// Convert KBps to Gbps (gigabits/s) — the unit of Figure 11's y-axis.
 pub fn kbps_to_gbps(kbps: f64) -> f64 {
@@ -82,9 +74,10 @@ mod tests {
 
     #[test]
     fn unit_conversions_match_paper() {
-        assert_eq!(mbps_to_kbps(1.0), HD_THRESHOLD_KBPS);
-        assert_eq!(mbps_to_kbps(20.0), PREDOWNLOADER_KBPS);
-        assert_eq!(mbps_to_kbps(50.0), CLOUD_FETCH_CAP_KBPS);
+        // 1 Mbps = 125 KBps, so 20 / 50 Mbps = 2500 / 6250 KBps.
+        assert_eq!(HD_THRESHOLD_KBPS, 125.0);
+        assert_eq!(20.0 * HD_THRESHOLD_KBPS, PREDOWNLOADER_KBPS);
+        assert_eq!(50.0 * HD_THRESHOLD_KBPS, CLOUD_FETCH_CAP_KBPS);
         // 30 Gbps in KBps is 3.75e6; round-trips through kbps_to_gbps.
         assert!((kbps_to_gbps(3_750_000.0) - 30.0).abs() < 1e-9);
     }

@@ -138,7 +138,9 @@ mod tests {
         let m = HttpFtpModel::default();
         let mut rng = StdRng::seed_from_u64(34);
         let n = 40_000;
-        let failures = (0..n).filter(|_| m.attempt(2.0, &mut rng).is_failure()).count();
+        let failures = (0..n)
+            .filter(|_| matches!(m.attempt(2.0, &mut rng), SourceOutcome::Failed { .. }))
+            .count();
         let ratio = failures as f64 / n as f64;
         assert!((ratio - m.failure_probability(2.0)).abs() < 0.01);
     }

@@ -18,9 +18,6 @@
 //! * [`HttpFtpModel`] — stable servers with higher rates but a failure mode
 //!   of their own (no persistent/resumable download), 10 % of AP failures.
 //! * [`FailureCause`] — the failure taxonomy of §5.2.
-//! * [`piece_sim`] — a mechanistic piece-level swarm micro-simulator
-//!   (rarest-first, tit-for-tat choking, seed churn) that validates the
-//!   statistical model's shape assumptions from first principles.
 //! * [`multiplier`] — the "bandwidth multiplier effect" of cloud-seeded
 //!   swarms (§4.2, refs 64 and 66) plus a LEDBAT-style upload governor; these
 //!   justify ODR's redirection of highly popular P2P files to direct
@@ -36,7 +33,6 @@
 
 mod httpftp;
 pub mod multiplier;
-pub mod piece_sim;
 mod swarm;
 
 pub use httpftp::{HttpFtpConfig, HttpFtpModel};
@@ -80,19 +76,4 @@ pub enum SourceOutcome {
         /// The failure cause for the §5.2 taxonomy.
         cause: FailureCause,
     },
-}
-
-impl SourceOutcome {
-    /// The serving rate, or `None` if the attempt failed.
-    pub fn rate(&self) -> Option<f64> {
-        match self {
-            SourceOutcome::Serving { rate_kbps } => Some(*rate_kbps),
-            SourceOutcome::Failed { .. } => None,
-        }
-    }
-
-    /// Whether the attempt failed.
-    pub fn is_failure(&self) -> bool {
-        matches!(self, SourceOutcome::Failed { .. })
-    }
 }

@@ -146,16 +146,6 @@ fn dedup(links: &[LinkId]) -> Vec<LinkId> {
     v
 }
 
-/// Convenience: the rate a single new flow would get on a path of link
-/// capacities with an optional flow cap — simply the minimum.
-pub fn path_rate(link_caps: &[f64], cap: Option<f64>) -> f64 {
-    let link_min = link_caps.iter().copied().fold(f64::INFINITY, f64::min);
-    match cap {
-        Some(c) => link_min.min(c),
-        None => link_min,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,12 +205,6 @@ mod tests {
     fn duplicate_links_counted_once() {
         let rates = max_min_rates(&[100.0], &[FlowSpec::over(vec![0, 0, 0])]);
         assert_close(rates[0], 100.0);
-    }
-
-    #[test]
-    fn path_rate_is_min() {
-        assert_close(path_rate(&[10.0, 3.0, 8.0], None), 3.0);
-        assert_close(path_rate(&[10.0, 3.0], Some(2.0)), 2.0);
     }
 
     #[test]

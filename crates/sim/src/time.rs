@@ -67,11 +67,6 @@ impl SimDuration {
         SimDuration(s * 1000)
     }
 
-    /// Construct from whole minutes.
-    pub const fn from_mins(m: u64) -> Self {
-        SimDuration(m * 60 * 1000)
-    }
-
     /// Construct from whole hours.
     pub const fn from_hours(h: u64) -> Self {
         SimDuration(h * 3600 * 1000)
@@ -179,7 +174,6 @@ mod tests {
     #[test]
     fn construction_round_trips() {
         assert_eq!(SimDuration::from_secs(2).as_millis(), 2000);
-        assert_eq!(SimDuration::from_mins(3).as_millis(), 180_000);
         assert_eq!(SimDuration::from_hours(1).as_millis(), 3_600_000);
         assert_eq!(SimDuration::from_days(7).as_millis(), 604_800_000);
     }
@@ -213,6 +207,6 @@ mod tests {
         let t = SimTime::ZERO + SimDuration::from_days(1) + SimDuration::from_millis(3_723_004);
         assert_eq!(format!("{t}"), "d1 01:02:03.004");
         assert_eq!(format!("{}", SimDuration::from_millis(500)), "500ms");
-        assert_eq!(format!("{}", SimDuration::from_mins(90)), "1.50h");
+        assert_eq!(format!("{}", SimDuration::from_secs(90 * 60)), "1.50h");
     }
 }

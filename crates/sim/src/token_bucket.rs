@@ -4,7 +4,7 @@
 //! `odx-p2p`) and available to any model that needs to throttle a byte
 //! stream.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A token bucket: accumulates `rate` tokens per second up to `burst`, and
 /// callers consume tokens to send bytes (1 token = 1 KB by convention).
@@ -48,29 +48,12 @@ impl TokenBucket {
             false
         }
     }
-
-    /// How long from `now` until `amount` tokens will be available.
-    /// Zero if they already are; amounts above the burst size can never be
-    /// satisfied in one piece and return the time to fill the bucket.
-    pub fn time_until(&mut self, now: SimTime, amount: f64) -> SimDuration {
-        self.refill(now);
-        let needed = amount.min(self.burst) - self.tokens;
-        if needed <= 0.0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_secs_f64(needed / self.rate_per_sec)
-        }
-    }
-
-    /// The sustained rate of this bucket (tokens per second).
-    pub fn rate(&self) -> f64 {
-        self.rate_per_sec
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     fn at(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)
@@ -95,22 +78,5 @@ mod tests {
     fn refill_caps_at_burst() {
         let mut b = TokenBucket::new(1000.0, 50.0);
         assert!((b.available(at(3600)) - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_until_is_exact() {
-        let mut b = TokenBucket::new(10.0, 100.0);
-        b.try_consume(SimTime::ZERO, 100.0);
-        let wait = b.time_until(SimTime::ZERO, 25.0);
-        assert_eq!(wait, SimDuration::from_millis(2500));
-        // After waiting exactly that long the consume succeeds.
-        assert!(b.try_consume(SimTime::ZERO + wait, 25.0));
-    }
-
-    #[test]
-    fn oversized_request_waits_for_full_bucket() {
-        let mut b = TokenBucket::new(10.0, 40.0);
-        b.try_consume(SimTime::ZERO, 40.0);
-        assert_eq!(b.time_until(SimTime::ZERO, 1000.0), SimDuration::from_secs(4));
     }
 }

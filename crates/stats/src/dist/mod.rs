@@ -1,16 +1,14 @@
 //! Probability distributions, implemented from scratch.
 //!
 //! Only `rand`'s uniform primitives are consumed; every shaped distribution
-//! (normal, log-normal, Pareto, Zipf, …) is derived here via standard
+//! (log-normal, Pareto, Zipf, …) is derived here via standard
 //! transforms so the workload models have no opaque dependencies.
 
-mod mixture;
 mod normal;
 mod pareto;
 mod zipf;
 
-pub use mixture::{Empirical, Mixture};
-pub use normal::{LogNormal, Normal};
+pub use normal::LogNormal;
 pub use pareto::BoundedPareto;
 pub use zipf::Zipf;
 
@@ -31,27 +29,6 @@ pub trait Dist {
     /// Draw `n` samples into a vector.
     fn sample_n(&self, rng: &mut dyn Rng, n: usize) -> Vec<f64> {
         (0..n).map(|_| self.sample(rng)).collect()
-    }
-}
-
-/// Uniform over `[lo, hi)`.
-#[derive(Debug, Clone, Copy)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Uniform over `[lo, hi)`; requires `lo < hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo < hi, "uniform requires lo < hi");
-        Uniform { lo, hi }
-    }
-}
-
-impl Dist for Uniform {
-    fn sample(&self, rng: &mut dyn Rng) -> f64 {
-        self.lo + (self.hi - self.lo) * u01(rng)
     }
 }
 
@@ -79,32 +56,6 @@ impl LogUniform {
 impl Dist for LogUniform {
     fn sample(&self, rng: &mut dyn Rng) -> f64 {
         (self.ln_lo + (self.ln_hi - self.ln_lo) * u01(rng)).exp()
-    }
-}
-
-/// Exponential with the given rate (mean `1/rate`), via inverse CDF.
-#[derive(Debug, Clone, Copy)]
-pub struct Exponential {
-    rate: f64,
-}
-
-impl Exponential {
-    /// Exponential with rate `rate > 0`.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
-        Exponential { rate }
-    }
-
-    /// Exponential with the given mean.
-    pub fn with_mean(mean: f64) -> Self {
-        Exponential::new(1.0 / mean)
-    }
-}
-
-impl Dist for Exponential {
-    fn sample(&self, rng: &mut dyn Rng) -> f64 {
-        // 1 - U avoids ln(0).
-        -(1.0 - u01(rng)).ln() / self.rate
     }
 }
 
@@ -158,28 +109,6 @@ impl Dist for DiscretePowerLaw {
     }
 }
 
-/// A distribution clamped to `[lo, hi]`.
-#[derive(Debug, Clone, Copy)]
-pub struct Clamped<D> {
-    inner: D,
-    lo: f64,
-    hi: f64,
-}
-
-impl<D: Dist> Clamped<D> {
-    /// Clamp `inner`'s samples into `[lo, hi]`.
-    pub fn new(inner: D, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "clamp bounds inverted");
-        Clamped { inner, lo, hi }
-    }
-}
-
-impl<D: Dist> Dist for Clamped<D> {
-    fn sample(&self, rng: &mut dyn Rng) -> f64 {
-        self.inner.sample(rng).clamp(self.lo, self.hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,8 +121,8 @@ mod tests {
 
     #[test]
     fn uniform_bounds_and_mean() {
-        let d = Uniform::new(2.0, 4.0);
-        let xs = d.sample_n(&mut rng(), 20_000);
+        let mut rng = rng();
+        let xs: Vec<f64> = (0..20_000).map(|_| 2.0 + 2.0 * u01(&mut rng)).collect();
         assert!(xs.iter().all(|&x| (2.0..4.0).contains(&x)));
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!((mean - 3.0).abs() < 0.02);
@@ -207,15 +136,6 @@ mod tests {
         assert!((mean - d.mean()).abs() / d.mean() < 0.02, "{mean} vs {}", d.mean());
         // The paper's "popular" class: counts in [7, 84), mean ≈ 31.
         assert!((d.mean() - 31.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let d = Exponential::with_mean(5.0);
-        let xs = d.sample_n(&mut rng(), 50_000);
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!((mean - 5.0).abs() < 0.15);
-        assert!(xs.iter().all(|&x| x >= 0.0));
     }
 
     #[test]
@@ -235,13 +155,5 @@ mod tests {
         let emp_mean =
             counts.iter().enumerate().map(|(k, &c)| k as f64 * c as f64).sum::<f64>() / 50_000.0;
         assert!((emp_mean - d.mean()).abs() < 0.05);
-    }
-
-    #[test]
-    fn clamped_respects_bounds() {
-        let d = Clamped::new(Exponential::with_mean(100.0), 1.0, 10.0);
-        let xs = d.sample_n(&mut rng(), 1000);
-        assert!(xs.iter().all(|&x| (1.0..=10.0).contains(&x)));
-        assert!(xs.contains(&10.0), "mass should pile at the clamp");
     }
 }

@@ -1,43 +1,22 @@
-//! Normal and log-normal distributions via the Marsaglia polar method.
+//! The log-normal distribution, drawn via the Marsaglia polar method.
 
 use super::{u01, Dist};
 use rand::Rng;
 
-/// Gaussian with mean `mu` and standard deviation `sigma`.
-#[derive(Debug, Clone, Copy)]
-pub struct Normal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl Normal {
-    /// Normal(mu, sigma); `sigma` must be non-negative.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma >= 0.0 && sigma.is_finite(), "sigma must be finite and >= 0");
-        Normal { mu, sigma }
-    }
-
-    /// One standard-normal draw (Marsaglia polar, single value per call; the
-    /// spare is discarded to keep the sampler stateless and `Copy`).
-    pub fn standard_draw(rng: &mut dyn Rng) -> f64 {
-        loop {
-            let u = 2.0 * u01(rng) - 1.0;
-            let v = 2.0 * u01(rng) - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
-            }
+/// One standard-normal draw (Marsaglia polar, single value per call; the
+/// spare is discarded to keep the sampler stateless and `Copy`).
+fn standard_normal_draw(rng: &mut dyn Rng) -> f64 {
+    loop {
+        let u = 2.0 * u01(rng) - 1.0;
+        let v = 2.0 * u01(rng) - 1.0;
+        let s = u * u + v * v;
+        if s > 0.0 && s < 1.0 {
+            return u * (-2.0 * s.ln() / s).sqrt();
         }
     }
 }
 
-impl Dist for Normal {
-    fn sample(&self, rng: &mut dyn Rng) -> f64 {
-        self.mu + self.sigma * Normal::standard_draw(rng)
-    }
-}
-
-/// Log-normal: `exp(Normal(mu, sigma))`.
+/// Log-normal: `exp(mu + sigma · Z)` for a standard normal `Z`.
 ///
 /// Parameterized by its *median* (`exp(mu)`) because the paper reports
 /// medians; `mean = median × exp(sigma²/2)`.
@@ -82,7 +61,7 @@ impl LogNormal {
 
 impl Dist for LogNormal {
     fn sample(&self, rng: &mut dyn Rng) -> f64 {
-        (self.mu + self.sigma * Normal::standard_draw(rng)).exp()
+        (self.mu + self.sigma * standard_normal_draw(rng)).exp()
     }
 }
 
@@ -108,9 +87,9 @@ mod tests {
 
     #[test]
     fn normal_moments() {
-        let d = Normal::new(10.0, 3.0);
         let mut rng = StdRng::seed_from_u64(2);
-        let xs = d.sample_n(&mut rng, 100_000);
+        let xs: Vec<f64> =
+            (0..100_000).map(|_| 10.0 + 3.0 * standard_normal_draw(&mut rng)).collect();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((mean - 10.0).abs() < 0.05, "mean {mean}");

@@ -34,7 +34,7 @@ pub fn ks_critical(n: usize, m: usize, alpha: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{Dist, LogNormal, Uniform};
+    use crate::dist::{u01, Dist, LogNormal};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -66,7 +66,7 @@ mod tests {
     fn different_distributions_fail_the_test() {
         let mut rng = StdRng::seed_from_u64(211);
         let a = Ecdf::new(LogNormal::from_median(100.0, 1.0).sample_n(&mut rng, 2000));
-        let b = Ecdf::new(Uniform::new(0.0, 500.0).sample_n(&mut rng, 2000));
+        let b = Ecdf::new((0..2000).map(|_| 500.0 * u01(&mut rng)).collect());
         let dist = ks_distance(&a, &b);
         assert!(dist > ks_critical(2000, 2000, 0.05), "{dist}");
     }

@@ -5,12 +5,10 @@
 //! Everything the measurement analysis needs, implemented from scratch on top
 //! of `rand`'s uniform primitives:
 //!
-//! * [`dist`] — samplers: normal / log-normal (Marsaglia polar), bounded
-//!   Pareto, exponential, log-uniform, discrete power laws, Zipf over ranks,
-//!   arbitrary mixtures, and empirical distributions.
+//! * [`dist`] — samplers: log-normal (Marsaglia polar), bounded Pareto,
+//!   log-uniform, discrete power laws and Zipf over ranks.
 //! * [`Ecdf`] — empirical CDFs with quantiles and compact summaries; these
 //!   back every CDF figure in the paper (Figs 5, 8, 9, 13, 14, 17).
-//! * [`Histogram`] — fixed-width and logarithmic binning.
 //! * [`fit`] — least-squares fitting of the Zipf and stretched-exponential
 //!   (SE) rank-frequency models used in Figs 6–7, including the paper's
 //!   "average relative error of fitness" metric.
@@ -22,10 +20,8 @@
 pub mod dist;
 mod ecdf;
 pub mod fit;
-mod hist;
 pub mod ks;
 mod timeseries;
 
 pub use ecdf::{Ecdf, Summary};
-pub use hist::Histogram;
 pub use timeseries::BinnedSeries;

@@ -37,16 +37,6 @@ impl DeviceKind {
         DeviceKind::ALL.into_iter().find(|d| d.name() == name)
     }
 
-    /// Spec-sheet maximum sequential write speed (MBps).
-    pub fn max_write_mbps(self) -> f64 {
-        match self {
-            DeviceKind::SdCard => 15.0,
-            DeviceKind::UsbFlash => 10.0,
-            DeviceKind::SataHdd => 30.0,
-            DeviceKind::UsbHdd => 10.0,
-        }
-    }
-
     /// Spec-sheet maximum sequential read speed (MBps).
     pub fn max_read_mbps(self) -> f64 {
         match self {
@@ -69,13 +59,6 @@ impl DeviceKind {
             DeviceKind::UsbHdd => 11.5,
         }
     }
-
-    /// Whether flash-translation-layer erase/GC stalls apply (flash media
-    /// handle frequent small writes poorly — the root of Newifi's Table 2
-    /// numbers).
-    pub fn is_flash(self) -> bool {
-        matches!(self, DeviceKind::SdCard | DeviceKind::UsbFlash)
-    }
 }
 
 impl fmt::Display for DeviceKind {
@@ -96,19 +79,8 @@ mod tests {
 
     #[test]
     fn spec_sheet_matches_section_5_1() {
-        assert_eq!(DeviceKind::SdCard.max_write_mbps(), 15.0);
         assert_eq!(DeviceKind::SdCard.max_read_mbps(), 30.0);
-        assert_eq!(DeviceKind::UsbFlash.max_write_mbps(), 10.0);
-        assert_eq!(DeviceKind::SataHdd.max_write_mbps(), 30.0);
         assert_eq!(DeviceKind::UsbHdd.max_read_mbps(), 25.0);
-    }
-
-    #[test]
-    fn flash_classification() {
-        assert!(DeviceKind::SdCard.is_flash());
-        assert!(DeviceKind::UsbFlash.is_flash());
-        assert!(!DeviceKind::SataHdd.is_flash());
-        assert!(!DeviceKind::UsbHdd.is_flash());
     }
 
     #[test]

@@ -20,14 +20,13 @@
 //!   *lowest* iowait yet the *worst* throughput.
 //!
 //! When the storage path is slower than the network offers, the receiver's
-//! TCP window (typically 14 608 bytes, §5.2) fills and the sender throttles —
-//! [`tcp`] quantifies that coupling.
+//! TCP window (typically 14 608 bytes, §5.2) fills and the sender throttles,
+//! so a pre-download runs at `min(network rate, sustained write rate)`.
 //!
 //! Constants are calibrated to Table 2; `write_model::tests` pins every cell.
 
 mod device;
 mod filesystem;
-pub mod tcp;
 mod write_model;
 
 pub use device::DeviceKind;

@@ -29,10 +29,6 @@ use crate::{DeviceKind, FsKind};
 /// 0.73 s/MB of pure CPU work, reproducing Newifi's 0.93–1.13 MBps NTFS caps.
 pub const K_FUSE_MHZ_S_PER_MB: f64 = 423.4;
 
-/// The receiver-side TCP window the paper observed nearly always full during
-/// storage-limited pre-downloads (bytes).
-pub const TCP_WINDOW_BYTES: f64 = 14_608.0;
-
 /// A (device, filesystem) pair's write capability under the frequent
 /// small-write pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -150,12 +150,6 @@ impl HandlerProfiler {
         rows.sort_by(|a, b| b.secs.total_cmp(&a.secs).then_with(|| a.label.cmp(&b.label)));
         rows
     }
-
-    /// The breakdown rendered as an aligned table (label, seconds,
-    /// events, percent of run wall), ending with a 100 % total row.
-    pub fn render(&self) -> String {
-        render_rows(&self.report(), self.run_secs)
-    }
 }
 
 /// Render breakdown rows as an aligned table (label, seconds, events,
@@ -254,7 +248,7 @@ mod tests {
         assert_eq!(other.secs, 0.25);
         let total: f64 = rows.iter().map(|r| r.share).sum();
         assert!((total - 1.0).abs() < 1e-12, "shares sum to {total}");
-        assert!(prof.render().contains("100.00%"));
+        assert!(render_rows(&rows, 1.0).contains("100.00%"));
     }
 
     #[test]
@@ -287,7 +281,6 @@ mod tests {
         let (rows, run_secs) = rows_from_walls(&wall).expect("profile was flushed");
         assert_eq!(run_secs, 1.0);
         assert_eq!(rows, prof.report(), "wall round-trip must preserve the breakdown");
-        assert_eq!(render_rows(&rows, run_secs), prof.render());
         // No profile flushed → no rows.
         assert!(rows_from_walls(&Registry::new().snapshot().wall).is_none());
     }

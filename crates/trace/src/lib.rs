@@ -49,8 +49,5 @@ pub const WEEK: odx_sim::SimDuration = odx_sim::SimDuration::from_days(7);
 /// Scale of the real dataset: unique files in the measurement week.
 pub const PAPER_UNIQUE_FILES: usize = 563_517;
 
-/// Scale of the real dataset: offline-downloading tasks in the week.
-pub const PAPER_TASKS: usize = 4_084_417;
-
 /// Scale of the real dataset: distinct users in the week.
 pub const PAPER_USERS: usize = 783_944;

@@ -63,13 +63,15 @@ fn odr_fetch_cdf_dominates_cloud_fetch_cdf_through_the_body() {
 
 #[test]
 fn streaming_viability_matches_the_impeded_complement() {
-    // §4.2's threshold, wired through the streaming model: the fraction of
-    // fetches that can view-as-download equals 1 − impeded ratio.
-    use odx::cloud::streaming::{streamable_fraction, PlaybackConfig};
+    // §4.2's threshold: a fetch can view-as-download an HD video only if it
+    // keeps up with the 1 Mbps playback rate, so the streamable share of
+    // fetches equals 1 − impeded ratio.
+    use odx::net::HD_THRESHOLD_KBPS;
     let study = Study::generate(0.01, 406);
     let report = replay_cloud(&study);
-    let speeds: Vec<f64> = report.fetches.iter().map(|f| f.avg_kbps).collect();
-    let streamable = streamable_fraction(&speeds, &PlaybackConfig::default());
+    let streamable = report.fetches.iter().filter(|f| f.avg_kbps >= HD_THRESHOLD_KBPS).count()
+        as f64
+        / report.fetches.len() as f64;
     assert!((streamable - (1.0 - report.impeded_ratio())).abs() < 1e-9);
     assert!((0.55..0.85).contains(&streamable), "{streamable}");
 }
