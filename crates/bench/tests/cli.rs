@@ -288,16 +288,67 @@ fn every_figure_command_survives_a_tiny_scale() {
 #[test]
 fn repro_all_stdout_matches_the_golden() {
     // Everything but the wall-clock `perf:` line is a pure function of
-    // (scenario, scale, seed, sample).
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden/repro_all_s2015_scale0005.txt");
-    let golden = std::fs::read_to_string(golden).expect("read golden");
-    let out = repro(&["all", "--scale", "0.005"]);
+    // (scenario, scale, seed, sample). The `--metrics` dump pins the order
+    // of the run's replays too: its 13 `sim.run` span ids follow replay
+    // order, and its gauges keep the last replay's value.
+    let golden_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let golden = std::fs::read_to_string(golden_dir.join("repro_all_s2015_scale0005.txt"))
+        .expect("read golden");
+    let metrics = std::env::temp_dir().join(format!("repro-cli-all-{}.json", std::process::id()));
+    let out = repro(&["all", "--scale", "0.005", "--metrics", metrics.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let trailer = format!("\n[metrics snapshot → {}]\n", metrics.display());
     let text: String = stdout(&out)
+        .strip_suffix(&trailer)
+        .expect("stdout ends with the metrics trailer")
         .lines()
         .filter(|line| !line.starts_with("  perf: "))
         .flat_map(|line| [line, "\n"])
         .collect();
     assert_eq!(text, golden, "`repro all --scale 0.005` stdout drifted from the golden");
+    let dump = std::fs::read_to_string(&metrics).expect("read metrics dump");
+    std::fs::remove_file(&metrics).unwrap();
+    let golden = std::fs::read_to_string(golden_dir.join("metrics_all_s2015_scale0005.json"))
+        .expect("read metrics golden");
+    assert!(dump == golden, "`repro all --scale 0.005 --metrics` drifted from the golden");
+}
+
+#[test]
+fn check_trace_without_json_exits_2_before_any_output() {
+    let out = repro(&["check-trace"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("repro: check-trace needs --json FILE"), "{}", stderr(&out));
+    assert_eq!(stdout(&out), "", "nothing may reach stdout before the usage error");
+}
+
+#[test]
+fn list_shows_scenario_file_definitions() {
+    let example = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campus-pressure.json");
+    let out = repro(&["--scenario-file", example.to_str().unwrap(), "list"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("\n  campus-pressure "), "`list` omits the file's scenario:\n{text}");
+    // Without the file only the built-in presets are listed.
+    assert!(!stdout(&repro(&["list"])).contains("campus-pressure"));
+}
+
+#[test]
+fn ablations_replay_the_presets_a_scenario_file_redefines() {
+    // Redefined with the pool switched back on, `ablate-cache` must match
+    // the baseline row instead of the built-in no-pool preset.
+    let dir = std::env::temp_dir().join(format!("repro-cli-redefine-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("ablate-cache.json");
+    std::fs::write(&file, r#"{"base":"paper-default","name":"ablate-cache","cache_enabled":true}"#)
+        .unwrap();
+    let out =
+        repro(&["--scenario-file", file.to_str().unwrap(), "ablate-cache", "--scale", "0.001"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    let measured = |label: &str| {
+        let line = text.lines().find(|l| l.contains(label)).expect("ablation row");
+        line.rsplit("measured: ").next().unwrap().to_owned()
+    };
+    assert_eq!(measured("failure ratio with pool"), measured("failure ratio without pool"));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
